@@ -1,27 +1,13 @@
-(* AST-backed re-implementation of the layer-2 source rules. Matching is
-   on identifier occurrences in the Parsetree, so it is syntactic where
-   the regex engine is textual: a `==` in a comment, a string banner, or
-   an operator-shaped fragment inside a longer token can never fire, and
-   several hits on one line are all reported (the regex engine stops at
-   the first match per line).
+(* The layer-2 source rules, matched on identifier occurrences in the
+   Parsetree: a `==` in a comment, a string banner, or an operator-shaped
+   fragment inside a longer token can never fire, and several hits on
+   one line are all reported.
 
-   The rule *metadata* (name, severity, message, hint, allowlist) stays
-   in Source_rules — one table serves both engines, which is what makes
-   the differential mode in Ast_lint meaningful. *)
+   The rule *metadata* (name, severity, message, hint, allowlist) lives
+   in Source_rules; this module only decides which occurrence fires
+   which rule (ident_rule, plus the nan-compare application match). *)
 
 module D = Diagnostics
-
-(* Rules this engine implements semantically. bare-failwith is absent by
-   design: its AST replacement is the Exn_escape analysis. *)
-let covered =
-  [
-    "phys-equality";
-    "nan-compare";
-    "float-of-string";
-    "obj-magic";
-    "poly-compare";
-    "print-debug";
-  ]
 
 let nan_idents = [ "nan"; "Float.nan" ]
 

@@ -1,13 +1,8 @@
-(** AST-backed re-implementation of the layer-2 source rules
-    (phys-equality, nan-compare, float-of-string, obj-magic,
-    poly-compare, print-debug). Rule metadata — severity, message, hint,
-    allowlist — is shared with the regex engine via {!Source_rules}. *)
-
-val covered : string list
-(** Names of the rules this engine implements semantically (bare-failwith
-    is deliberately absent: {!Exn_escape} replaces it). *)
+(** The layer-2 source rules (phys-equality, nan-compare,
+    float-of-string, obj-magic, poly-compare, print-debug), matched on
+    the Parsetree. Rule metadata — severity, message, hint, allowlist —
+    comes from {!Source_rules}. *)
 
 val lint_parsed : ?rules:Source_rules.rule list -> Src_ast.parsed -> Diagnostics.t list
-(** Run the covered rules over one parsed file. Rules missing from
-    [rules] are skipped, so a restricted rule set behaves like the regex
-    engine's. *)
+(** Run the rules over one parsed file. Rules missing from [rules] are
+    skipped. *)

@@ -19,8 +19,8 @@
 
    One hop only: deeper chains through the allowlisted leaf modules
    (serialize, interval, ...) are judged at those modules' own boundary,
-   not re-reported at every caller. This replaces the regex engine's
-   bare-failwith rule, whose textual allowlist this analysis inherits. *)
+   not re-reported at every caller. This replaced the former textual
+   bare-failwith rule, whose allowlist this analysis inherits. *)
 
 module D = Diagnostics
 module SSet = Ast_index.SSet

@@ -1,6 +1,5 @@
 (** Exception-escape analysis over the {!Ast_index}: hot-path functions
-    that can raise past the Dwv_error.t result taxonomy. Replaces the
-    regex engine's [bare-failwith] rule.
+    that can raise past the Dwv_error.t result taxonomy.
 
     Tiers: Error for failwith/exit/uncaught constructor raises in a
     non-result-speaking hot function; Info for invalid_arg-class

@@ -22,7 +22,6 @@ let missing_mli = "missing-mli"
 let domain_safety = "domain-safety"
 let exn_escape = "exn-escape"
 let ast_parse = "ast-parse"
-let engine_diff = "engine-diff"
 let alloc_hotspot = "alloc-hotspot"
 let budget_threading = "budget-threading"
 let cmt_missing = "cmt-missing"
@@ -54,9 +53,8 @@ let ast_entries =
     ( exn_escape,
       "hot-path functions cannot raise past the Dwv_error.t result taxonomy" );
     ( ast_parse,
-      "every linted implementation parses with the compiler front end (regex \
-       fallback otherwise)" );
-    (engine_diff, "AST and regex engines agree on every shared rule (differential mode)");
+      "every linted implementation parses with the compiler front end (no rule \
+       can run on one that does not)" );
   ]
 
 let typed_entries =

@@ -24,7 +24,7 @@ val nn_activation : string
 val nn_lipschitz : string
 val ctrl_shape : string
 
-(** {1 Layer-2 check names not backed by a regex rule} *)
+(** {1 Layer-2 check names not in the {!Source_rules} table} *)
 
 val missing_mli : string
 
@@ -33,7 +33,6 @@ val missing_mli : string
 val domain_safety : string
 val exn_escape : string
 val ast_parse : string
-val engine_diff : string
 
 (** {1 Layer-4 (typed) check names} *)
 

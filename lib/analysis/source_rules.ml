@@ -1,15 +1,11 @@
-(* The rule table. Everything the engine needs is data, so adding a rule
-   is one record; the engine (Source_lint) never special-cases a name.
-
-   Patterns are written against *stripped* source (comments and string
-   literals blanked out by Source_lint.strip), which is why they can be
-   simple: no need to dodge banners like "===" in strings or operator
-   mentions in comments. *)
+(* The rule table: per-rule metadata only. Which identifier occurrence
+   fires which rule is decided on the Parsetree by Ast_rules.ident_rule;
+   everything reported about a hit (severity, message, hint, allowlist)
+   comes from here. *)
 
 type rule = {
   name : string;
   severity : Diagnostics.severity;
-  pattern : string;
   message : string;
   hint : string option;
   allow : string list;
@@ -47,17 +43,11 @@ let allowed rule path =
       fcs <> [] && at pcs)
     rule.allow
 
-(* An identifier boundary on the left: start of line or a char that cannot
-   end an identifier/module path. *)
-let not_ident_left = {|\(^\|[^_a-zA-Z0-9.]\)|}
-
 let builtin =
   [
     {
       name = "phys-equality";
       severity = Diagnostics.Error;
-      (* == / != as standalone operators (not <=, >=, ==> etc.) *)
-      pattern = {|\(^\|[^!<>=&$@^|+*/%:.~-]\)\(==\|!=\)\([^=>]\|$\)|};
       message = "physical equality (==/!=) on values; on floats and float-bearing \
                  structures it is not semantic equality";
       hint = Some "use structural/semantic equality (e.g. Float.equal, Expr.equal, =)";
@@ -66,10 +56,6 @@ let builtin =
     {
       name = "nan-compare";
       severity = Diagnostics.Error;
-      (* the left guard keeps '->' arms (e.g. `| _ -> Float.nan`) from
-         matching as a '>' comparison *)
-      pattern =
-        {|\(^\|[^-<>=!&$@^|+*/%:.~]\)\(=\|<\|>\|<=\|>=\|<>\)[ \t]*\(Float\.\)?nan\b\|\bnan[ \t]*\(=\|<\|>\|<>\)|};
       message = "comparison against nan is always false (or always true for <>)";
       hint = Some "use Float.is_nan / classify_float";
       allow = [];
@@ -77,8 +63,6 @@ let builtin =
     {
       name = "float-of-string";
       severity = Diagnostics.Error;
-      pattern =
-        not_ident_left ^ {|\(Float\.of_string\|float_of_string\)\([^_a-zA-Z0-9]\|$\)|};
       message = "bare float-of-string raises an uninformative Failure on malformed input";
       hint = Some "use float_of_string_opt and report the offending text";
       allow = [];
@@ -86,7 +70,6 @@ let builtin =
     {
       name = "obj-magic";
       severity = Diagnostics.Error;
-      pattern = not_ident_left ^ {|Obj\.\(magic\|repr\|obj\)\b|};
       message = "Obj.magic defeats the type system; enclosure soundness cannot survive it";
       hint = None;
       allow = [];
@@ -94,34 +77,14 @@ let builtin =
     {
       name = "poly-compare";
       severity = Diagnostics.Warn;
-      pattern = not_ident_left ^ {|\(Stdlib\.compare\|Pervasives\.compare\)\b|};
       message = "explicit polymorphic compare; on float-bearing types prefer a typed \
                  comparison";
       hint = Some "use Float.compare / a per-type compare function";
       allow = [];
     };
     {
-      name = "bare-failwith";
-      severity = Diagnostics.Error;
-      pattern = not_ident_left ^ {|\(failwith\|exit\)[ \t(]|};
-      message = "bare failwith/exit in a library hot path; the verification loop must \
-                 stay total";
-      hint =
-        Some
-          "return (_, Dwv_robust.Dwv_error.t) result (see DESIGN.md §8), or allowlist \
-           a genuinely unreachable case";
-      allow =
-        [ "bin/"; "bench/"; "test/"; "examples/";
-          (* intentional: parse/IO front ends and invariant violations that
-             indicate a programming error, not a degraded analysis *)
-          "lib/nn/serialize.ml"; "lib/core/controller.ml";
-          "lib/interval/interval.ml"; "lib/taylor/taylor_model.ml";
-          "lib/la/mat.ml" ];
-    };
-    {
       name = "print-debug";
       severity = Diagnostics.Warn;
-      pattern = not_ident_left ^ {|\(print_endline\|print_string\|Printf\.printf\)\b|};
       message = "direct stdout printing from library code";
       hint = Some "return data, or take a Format formatter (Fmt) like the rest of lib/";
       allow =

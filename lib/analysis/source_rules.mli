@@ -1,12 +1,10 @@
-(** Source-level lint rules as data: a new rule is one more entry in
-    {!builtin}. Patterns are Str regexps matched against comment- and
-    string-stripped source lines, so idioms inside comments, docstrings and
-    string literals never trigger. *)
+(** Source-level lint rule metadata: name, severity, message, hint and
+    allowlist. Matching is syntactic and lives in {!Ast_rules}; adding a
+    rule is one entry in {!builtin} plus one [Ast_rules] match arm. *)
 
 type rule = {
   name : string;          (** registry check name, e.g. ["phys-equality"] *)
   severity : Diagnostics.severity;
-  pattern : string;       (** Str regexp applied to each stripped line *)
   message : string;
   hint : string option;
   allow : string list;

@@ -24,7 +24,7 @@ val span : Location.t -> int * int
 
 val parse_impl : path:string -> string -> (parsed, string) result
 (** Parse implementation source; [Error] carries a message with the
-    failure position (the caller falls back to the regex engine). *)
+    failure position (Ast_lint reports it as an [ast-parse] error). *)
 
 val parse_file : string -> (parsed, string) result
 

@@ -1,6 +1,6 @@
 (** Type-aware refinements of the layer-2/3 rules.
 
-    The Parsetree engines cannot see types, so rules like phys-equality
+    The Parsetree rules cannot see types, so rules like phys-equality
     are all-or-nothing per file. With the typed trees of {!Cmt_index}
     the exemptions become semantic: [==]/[!=] applied to hash-consed
     {!Expr.t} values is a documented O(1) identity test (PR-5), and only

@@ -14,15 +14,13 @@ module Fault = Dwv_robust.Fault
 module Counters = Dwv_util.Counters
 
 let c_hits = Counters.counter "cache_hits"
-let c_fast_hits = Counters.counter "cache_fast_hits"
 let c_misses = Counters.counter "cache_misses"
 let c_rejects = Counters.counter "cache_rejects"
 let c_stores = Counters.counter "cache_stores"
 let c_io = Counters.counter "cache_io_failures"
 
 type stats = {
-  hits : int;          (* fast hits included *)
-  fast_hits : int;
+  hits : int;
   misses : int;
   rejects : int;
   stores : int;
@@ -30,8 +28,8 @@ type stats = {
 }
 
 let pp_stats ppf s =
-  Fmt.pf ppf "hits=%d (fast=%d) misses=%d rejects=%d stores=%d io_failures=%d"
-    s.hits s.fast_hits s.misses s.rejects s.stores s.io_failures
+  Fmt.pf ppf "hits=%d misses=%d rejects=%d stores=%d io_failures=%d" s.hits
+    s.misses s.rejects s.stores s.io_failures
 
 type t = {
   dir : string option;
@@ -39,20 +37,8 @@ type t = {
   mu : Mutex.t;
   mem : (int64, string) Hashtbl.t;
   order : int64 Queue.t;
-  (* Probe-adjacency fast tier: entries whose bytes this process has
-     already decoded AND Quick-validated. A repeat lookup of the same
-     fingerprint — the learner re-probing an unchanged (theta, X0) —
-     only compares the stored bytes for equality before reusing the
-     decoded certificate: validation is a pure function of the bytes
-     (the cache-purity analysis machine-checks that), so equal bytes
-     revalidate to the same Valid. Any armed cert fault bypasses this
-     tier entirely, keeping the fault paths on the full decode+validate
-     route. Same mutex, FIFO-bounded like [mem]. *)
-  validated : (int64, string * Cert.t) Hashtbl.t;
-  vorder : int64 Queue.t;
   mutable last_path : string option;
   s_hits : int Atomic.t;
-  s_fast_hits : int Atomic.t;
   s_misses : int Atomic.t;
   s_rejects : int Atomic.t;
   s_stores : int Atomic.t;
@@ -77,11 +63,8 @@ let create ?dir ?(mem_cap = 512) () =
     mu = Mutex.create ();
     mem = Hashtbl.create 64;
     order = Queue.create ();
-    validated = Hashtbl.create 64;
-    vorder = Queue.create ();
     last_path = None;
     s_hits = Atomic.make 0;
-    s_fast_hits = Atomic.make 0;
     s_misses = Atomic.make 0;
     s_rejects = Atomic.make 0;
     s_stores = Atomic.make 0;
@@ -152,47 +135,17 @@ let find t ~fingerprint : Cert.t option =
         (* drop only the memory copy: under an injected fault the stored
            bytes are still clean, and a genuinely bad disk file is
            simply overwritten by the next store *)
-        locked t (fun () ->
-            Hashtbl.remove t.mem fingerprint;
-            Hashtbl.remove t.validated fingerprint);
+        locked t (fun () -> Hashtbl.remove t.mem fingerprint);
         None
       in
-      (* fast tier: only with no fault armed (an injected corruption /
-         staleness / IO fault must travel the full decode+validate route
-         it targets), and only when the bytes are the very ones this
-         process already validated *)
-      let fast =
-        if fault <> None then None
-        else
-          match locked t (fun () -> Hashtbl.find_opt t.validated fingerprint) with
-          | Some (vraw, cert) when String.equal vraw raw -> Some cert
-          | _ -> None
-      in
-      match fast with
-      | Some cert ->
-        bump t.s_fast_hits c_fast_hits;
-        bump t.s_hits c_hits;
-        Some cert
-      | None -> (
-        match Cert.decode raw with
-        | Error _ -> reject ()
-        | Ok cert -> (
-          match Cert_check.validate_cert ~level:Cert_check.Quick ~expected cert with
-          | Cert_check.Valid, _ ->
-            bump t.s_hits c_hits;
-            if fault = None then
-              locked t (fun () ->
-                  if not (Hashtbl.mem t.validated fingerprint) then
-                    Queue.push fingerprint t.vorder;
-                  Hashtbl.replace t.validated fingerprint (raw, cert);
-                  while
-                    Hashtbl.length t.validated > t.mem_cap
-                    && not (Queue.is_empty t.vorder)
-                  do
-                    Hashtbl.remove t.validated (Queue.pop t.vorder)
-                  done);
-            Some cert
-          | _ -> reject ()))))
+      match Cert.decode raw with
+      | Error _ -> reject ()
+      | Ok cert -> (
+        match Cert_check.validate_cert ~level:Cert_check.Quick ~expected cert with
+        | Cert_check.Valid, _ ->
+          bump t.s_hits c_hits;
+          Some cert
+        | _ -> reject ())))
 
 let store t (cert : Cert.t) =
   if Fault.current () = Some Fault.Cert_io then bump t.s_io c_io
@@ -203,9 +156,6 @@ let store t (cert : Cert.t) =
     locked t (fun () ->
         if not (Hashtbl.mem t.mem fp) then Queue.push fp t.order;
         Hashtbl.replace t.mem fp raw;
-        (* the fresh bytes were never validated: drop any fast-tier
-           entry so the next lookup revalidates them *)
-        Hashtbl.remove t.validated fp;
         while Hashtbl.length t.mem > t.mem_cap && not (Queue.is_empty t.order) do
           Hashtbl.remove t.mem (Queue.pop t.order)
         done);
@@ -243,15 +193,12 @@ let gc t ~keep =
   in
   locked t (fun () ->
       Hashtbl.reset t.mem;
-      Queue.clear t.order;
-      Hashtbl.reset t.validated;
-      Queue.clear t.vorder);
+      Queue.clear t.order);
   deleted
 
 let stats t =
   {
     hits = Atomic.get t.s_hits;
-    fast_hits = Atomic.get t.s_fast_hits;
     misses = Atomic.get t.s_misses;
     rejects = Atomic.get t.s_rejects;
     stores = Atomic.get t.s_stores;
@@ -261,4 +208,4 @@ let stats t =
 let reset_stats t =
   List.iter
     (fun a -> Atomic.set a 0)
-    [ t.s_hits; t.s_fast_hits; t.s_misses; t.s_rejects; t.s_stores; t.s_io ]
+    [ t.s_hits; t.s_misses; t.s_rejects; t.s_stores; t.s_io ]

@@ -10,13 +10,6 @@
 
 type stats = {
   hits : int;
-      (** validated lookups served, fast-tier hits included *)
-  fast_hits : int;
-      (** hits served by the probe-adjacency fast tier: the stored bytes
-          were byte-equal to ones this process already decoded and
-          Quick-validated, so both steps were skipped (validation is a
-          pure function of the bytes). Armed cert faults bypass the
-          tier, so fault paths always exercise the full route. *)
   misses : int;
   rejects : int;
   stores : int;

@@ -92,9 +92,8 @@ let value counters name = Option.value ~default:0 (List.assoc_opt name counters)
    registry measures work done (flowpipes, abstraction builds, cache
    misses/rejects, IO failures). For the benefit counters the ratchet
    points the other way: losing previously-achieved warm starts or
-   fast-tier cache hits on the same deterministic workload is the
-   regression. *)
-let benefit = [ "cache_hits"; "cache_fast_hits"; "warm_hits" ]
+   cache hits on the same deterministic workload is the regression. *)
+let benefit = [ "cache_hits"; "warm_hits" ]
 let is_work name = not (List.mem name benefit)
 
 let hit_rate counters =

@@ -23,11 +23,11 @@ val last :
   entry list -> section:string -> workload:string -> (string * int) list option
 
 (** Regression messages of [cur] against [prev]: any work counter that
-    increased (more work for the same deterministic workload), any
-    benefit counter ([warm_hits], [cache_fast_hits]) that decreased
-    (lost warm starts / fast-tier hits), plus a decreased cache hit
-    rate [hits / (hits + misses)]. Counters absent from one side
-    count 0. *)
+    increased (more work for the same deterministic workload), a
+    decreased [warm_hits] (lost warm starts), plus a decreased cache
+    hit rate [hits / (hits + misses)]. Counters absent from one side
+    count 0, so a counter that is no longer registered is not a
+    regression. *)
 val regressions : prev:(string * int) list -> (string * int) list -> string list
 
 (** Gate helper: for each [(workload, snapshot)], compare against the

@@ -1,10 +1,12 @@
 (* Tests for dwv_analysis: fixture systems that each trip exactly the
    diagnostic they were built to trip, clean passes over the paper's three
-   systems, and the source-lint engine (stripping, rules, tree walking). *)
+   systems, and the source rules and tree walk of the AST lint driver. *)
 
 module D = Dwv_analysis.Diagnostics
 module Model_check = Dwv_analysis.Model_check
-module Source_lint = Dwv_analysis.Source_lint
+module Src_ast = Dwv_analysis.Src_ast
+module Ast_rules = Dwv_analysis.Ast_rules
+module Ast_lint = Dwv_analysis.Ast_lint
 module Registry = Dwv_analysis.Registry
 module Expr = Dwv_expr.Expr
 module Parser = Dwv_expr.Parser
@@ -190,51 +192,46 @@ let test_builtin_systems_clean () =
       Alcotest.(check (list string)) (name ^ " clean") [] (check_names ds))
     [ "acc"; "oscillator"; "threed" ]
 
-(* ---------------- layer 2: stripping ---------------- *)
+(* ---------------- layer 2: source rules ---------------- *)
 
-let contains haystack needle =
-  let n = String.length needle and m = String.length haystack in
-  let rec at i = i + n <= m && (String.sub haystack i n = needle || at (i + 1)) in
-  at 0
-
-let test_strip_preserves_positions () =
-  let src = "let a = 1 (* == *) + 2\n" in
-  let stripped = Source_lint.strip src in
-  Alcotest.(check int) "same length" (String.length src) (String.length stripped);
-  Alcotest.(check bool) "comment blanked" false (contains stripped "==")
+(* Run the source rules over [src] as if it were the file at [path]. *)
+let lint_src ?(path = "lib/x/y.ml") src =
+  match Src_ast.parse_impl ~path src with
+  | Ok parsed -> Ast_rules.lint_parsed parsed
+  | Error m -> Alcotest.failf "fixture source does not parse: %s" m
 
 let test_phys_equality_flagged () =
-  let ds = Source_lint.lint_string ~path:"lib/x/y.ml" "let bad a b = a == b\n" in
+  (* the comment before the operator must not shift the reported column *)
+  let ds = lint_src "let bad a b = (* == *) a == b\n" in
   Alcotest.(check bool) "flagged" true (has ~check:"phys-equality" ds);
   match ds with
   | [ d ] -> (
     match d.D.loc with
     | D.File { line; col; _ } ->
       Alcotest.(check int) "line" 1 line;
-      Alcotest.(check bool) "column near the operator" true (col >= 10)
+      Alcotest.(check int) "column of the operator" 26 col
     | _ -> Alcotest.fail "expected a file location")
   | _ -> Alcotest.failf "expected exactly one diagnostic, got %d" (List.length ds)
 
 let test_phys_equality_in_comment_or_string_clean () =
   let src = "(* a == b, != c *)\nlet banner = \"=== == !=\"\nlet ok = true\n" in
-  Alcotest.(check (list string)) "clean" []
-    (check_names (Source_lint.lint_string ~path:"lib/x/y.ml" src))
+  Alcotest.(check (list string)) "clean" [] (check_names (lint_src src))
 
 let test_nan_compare_flagged_but_arrow_clean () =
-  let bad = Source_lint.lint_string ~path:"lib/x/y.ml" "let b x = x > nan\n" in
+  let bad = lint_src "let b x = x > nan\n" in
   Alcotest.(check bool) "comparison flagged" true (has ~check:"nan-compare" bad);
-  let arm = Source_lint.lint_string ~path:"lib/x/y.ml" "let f = function None -> Float.nan | Some v -> v\n" in
+  let arm = lint_src "let f = function None -> Float.nan | Some v -> v\n" in
   Alcotest.(check (list string)) "match arm clean" [] (check_names arm)
 
 let test_float_of_string_rule () =
-  let bad = Source_lint.lint_string ~path:"lib/x/y.ml" "let v = float_of_string s\n" in
+  let bad = lint_src "let v s = float_of_string s\n" in
   Alcotest.(check bool) "bare conversion flagged" true (has ~check:"float-of-string" bad);
-  let ok = Source_lint.lint_string ~path:"lib/x/y.ml" "let v = float_of_string_opt s\n" in
+  let ok = lint_src "let v s = float_of_string_opt s\n" in
   Alcotest.(check (list string)) "_opt variant clean" [] (check_names ok)
 
 let test_allowlist () =
   (* expr.ml is the documented legit use of the physical shortcut *)
-  let ds = Source_lint.lint_string ~path:"lib/expr/expr.ml" "let eq a b = a == b\n" in
+  let ds = lint_src ~path:"lib/expr/expr.ml" "let eq a b = a == b\n" in
   Alcotest.(check (list string)) "allowlisted" [] (check_names ds)
 
 let test_lint_tree_missing_mli_and_build_refusal () =
@@ -248,9 +245,9 @@ let test_lint_tree_missing_mli_and_build_refusal () =
   let oc = open_out orphan in
   output_string oc "let x = 1\n";
   close_out oc;
-  let ds = Source_lint.lint_tree [ root ] in
+  let ds = Ast_lint.lint_tree [ root ] in
   Alcotest.(check bool) "orphan flagged" true (has ~check:Registry.missing_mli ds);
-  (match Source_lint.lint_tree [ "_build/default" ] with
+  (match Ast_lint.lint_tree [ "_build/default" ] with
   | _ -> Alcotest.fail "expected _build refusal"
   | exception Invalid_argument _ -> ());
   Sys.remove orphan;
@@ -284,7 +281,6 @@ let suite =
     Alcotest.test_case "linear gain shape" `Quick test_linear_gain_shape;
     Alcotest.test_case "unbounded activation warns" `Quick test_unbounded_activation_warns;
     Alcotest.test_case "builtin systems pass clean" `Quick test_builtin_systems_clean;
-    Alcotest.test_case "strip preserves positions" `Quick test_strip_preserves_positions;
     Alcotest.test_case "phys equality flagged" `Quick test_phys_equality_flagged;
     Alcotest.test_case "comments and strings clean" `Quick test_phys_equality_in_comment_or_string_clean;
     Alcotest.test_case "nan compare vs match arrow" `Quick test_nan_compare_flagged_but_arrow_clean;

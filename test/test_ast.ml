@@ -1,7 +1,7 @@
 (* Tests for the layer-3 AST analyses: the parse front end, the
    module-inventory index, the domain-safety and exception-escape
-   analyses over the fixture corpus in fixtures/analysis/, the migrated
-   layer-2 rules on both engines, the differential mode, and the
+   analyses over the fixture corpus in fixtures/analysis/, every layer-2
+   source rule on a bad/good fixture pair, the ast-parse error, and the
    satellite fixes (allowlist component matching, tree-walk dedupe,
    JSON report envelope). *)
 
@@ -145,22 +145,14 @@ let test_exn_escape_ignores_cold_modules () =
   Alcotest.(check int) "cold module is silent" 0
     (List.length (Exn_escape.analyze (index_of [ "exn_bad.ml" ])))
 
-(* ---------------- migrated layer-2 rules, both engines ---------------- *)
-
-let engines = [ Ast_lint.Regex; Ast_lint.Ast ]
+(* ---------------- layer-2 source rules ---------------- *)
 
 let rule_pair ~check ~bad ~good ~bad_hits () =
-  List.iter
-    (fun engine ->
-      let label s = Fmt.str "%s/%s" (Ast_lint.engine_label engine) s in
-      let ds_bad = Ast_lint.lint_files ~engine [ fixture bad ] in
-      let ds_good = Ast_lint.lint_files ~engine [ fixture good ] in
-      Alcotest.(check bool) (label "fires on bad") true (has ~check ds_bad);
-      Alcotest.(check int) (label "silent on good") 0 (count ~check ds_good);
-      (* the AST engine sees every occurrence, regex one per line; the
-         fixtures put one occurrence per line so the counts agree *)
-      Alcotest.(check int) (label "hit count") bad_hits (count ~check ds_bad))
-    engines
+  let ds_bad = Ast_lint.lint_files [ fixture bad ] in
+  let ds_good = Ast_lint.lint_files [ fixture good ] in
+  Alcotest.(check bool) "fires on bad" true (has ~check ds_bad);
+  Alcotest.(check int) "silent on good" 0 (count ~check ds_good);
+  Alcotest.(check int) "hit count" bad_hits (count ~check ds_bad)
 
 let test_phys_equality =
   rule_pair ~check:"phys-equality" ~bad:"phys_eq_bad.ml" ~good:"phys_eq_good.ml"
@@ -175,40 +167,37 @@ let test_poly_compare =
     ~bad_hits:1
 
 let test_float_of_string =
-  rule_pair ~check:"float-of-string" ~bad:"fos_bad.ml" ~good:"fos_good.ml" ~bad_hits:1
+  (* fos_bad.ml also holds the Stdlib-qualified spelling: the qualifier
+     is normalized away before matching *)
+  rule_pair ~check:"float-of-string" ~bad:"fos_bad.ml" ~good:"fos_good.ml" ~bad_hits:2
+
+let test_obj_magic =
+  rule_pair ~check:"obj-magic" ~bad:"obj_magic_bad.ml" ~good:"obj_magic_good.ml"
+    ~bad_hits:3
+
+let test_print_debug =
+  rule_pair ~check:"print-debug" ~bad:"print_debug_bad.ml"
+    ~good:"print_debug_good.ml" ~bad_hits:3
 
 let test_poly_compare_severity () =
-  let ds = Ast_lint.lint_files ~engine:Ast_lint.Ast [ fixture "poly_cmp_bad.ml" ] in
+  let ds = Ast_lint.lint_files [ fixture "poly_cmp_bad.ml" ] in
   Alcotest.(check bool) "warn, not error" true
     (severity_of ~check:"poly-compare" ds = Some D.Warn)
 
-(* ---------------- fallback and differential ---------------- *)
+(* ---------------- unparseable files ---------------- *)
 
-let test_ast_parse_fallback () =
-  let ds = Ast_lint.lint_files ~engine:Ast_lint.Ast [ fixture "broken_syntax.ml" ] in
-  Alcotest.(check int) "one ast-parse note" 1 (count ~check:Registry.ast_parse ds);
-  Alcotest.(check bool) "note severity" true
-    (severity_of ~check:Registry.ast_parse ds = Some D.Info)
-
-let test_differential_agrees_on_corpus () =
-  let ds =
-    Ast_lint.lint_tree ~exclude:[ "diff_demo.ml" ] ~engine:Ast_lint.Both [ corpus ]
-  in
-  Alcotest.(check int) "no disagreements" 0 (count ~check:Registry.engine_diff ds)
-
-let test_differential_detects_blind_spot () =
-  let ds = Ast_lint.lint_files ~engine:Ast_lint.Both [ fixture "diff_demo.ml" ] in
-  Alcotest.(check bool) "Stdlib-qualified float_of_string disagrees" true
-    (has ~check:Registry.engine_diff ds);
-  Alcotest.(check bool) "and the ast engine still reports the rule" true
-    (has ~check:"float-of-string" ds)
+let test_ast_parse_error () =
+  let ds = Ast_lint.lint_files [ fixture "broken_syntax.ml" ] in
+  Alcotest.(check int) "one ast-parse finding" 1 (count ~check:Registry.ast_parse ds);
+  Alcotest.(check bool) "error severity" true
+    (severity_of ~check:Registry.ast_parse ds = Some D.Error);
+  Alcotest.(check int) "and nothing else" 1 (List.length ds)
 
 let test_registry_lists_ast_checks () =
   let names = List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.all in
   List.iter
     (fun n -> Alcotest.(check bool) n true (List.mem n names))
-    [ Registry.domain_safety; Registry.exn_escape; Registry.ast_parse;
-      Registry.engine_diff ]
+    [ Registry.domain_safety; Registry.exn_escape; Registry.ast_parse ]
 
 (* ---------------- satellite: allowlist component matching ---------------- *)
 
@@ -216,7 +205,6 @@ let rule_with_allow allow =
   {
     Source_rules.name = "fix";
     severity = D.Error;
-    pattern = "unused";
     message = "unused";
     hint = None;
     allow;
@@ -254,8 +242,8 @@ let test_duplicate_roots_dedupe () =
   let overlapping = Source_lint.collect_tree [ "fixtures"; corpus ] in
   Alcotest.(check int) "overlapping roots collect once" (List.length once)
     (List.length overlapping);
-  let ds_once = Source_lint.lint_tree [ corpus ] in
-  let ds_twice = Source_lint.lint_tree [ corpus; corpus ] in
+  let ds_once = Ast_lint.lint_tree [ corpus ] in
+  let ds_twice = Ast_lint.lint_tree [ corpus; corpus ] in
   Alcotest.(check int) "no duplicate diagnostics" (List.length ds_once)
     (List.length ds_twice)
 
@@ -296,25 +284,17 @@ let test_report_json_golden () =
   Alcotest.(check string) "envelope is stable" expected (D.report_to_json ds)
 
 let test_text_json_counts_agree () =
-  List.iter
-    (fun engine ->
-      let ds =
-        Ast_lint.lint_tree ~exclude:[ "diff_demo.ml" ] ~engine [ corpus ]
-      in
-      let json = D.report_to_json ds in
-      let expect field n =
-        let fragment = Fmt.str {|"%s":%d|} field n in
-        Alcotest.(check bool)
-          (Fmt.str "%s %s" (Ast_lint.engine_label engine) fragment)
-          true
-          (contains ~sub:fragment json)
-      in
-      (* the summary object carries the same counts the --plain text
-         summary prints *)
-      expect "errors" (D.count D.Error ds);
-      expect "warnings" (D.count D.Warn ds);
-      expect "notes" (D.count D.Info ds))
-    [ Ast_lint.Regex; Ast_lint.Ast; Ast_lint.Both ]
+  let ds = Ast_lint.lint_tree [ corpus ] in
+  let json = D.report_to_json ds in
+  let expect field n =
+    let fragment = Fmt.str {|"%s":%d|} field n in
+    Alcotest.(check bool) fragment true (contains ~sub:fragment json)
+  in
+  (* the summary object carries the same counts the --plain text
+     summary prints *)
+  expect "errors" (D.count D.Error ds);
+  expect "warnings" (D.count D.Warn ds);
+  expect "notes" (D.count D.Info ds)
 
 let suite =
   [
@@ -340,20 +320,21 @@ let suite =
       `Quick test_exn_escape_silent_when_handled;
     Alcotest.test_case "exn-escape: cold modules are out of scope" `Quick
       test_exn_escape_ignores_cold_modules;
-    Alcotest.test_case "rules: phys-equality on both engines" `Quick
+    Alcotest.test_case "rules: phys-equality on bad/good fixtures" `Quick
       test_phys_equality;
-    Alcotest.test_case "rules: nan-compare on both engines" `Quick test_nan_compare;
-    Alcotest.test_case "rules: poly-compare on both engines" `Quick test_poly_compare;
-    Alcotest.test_case "rules: float-of-string on both engines" `Quick
+    Alcotest.test_case "rules: nan-compare on bad/good fixtures" `Quick
+      test_nan_compare;
+    Alcotest.test_case "rules: poly-compare on bad/good fixtures" `Quick
+      test_poly_compare;
+    Alcotest.test_case "rules: float-of-string on bad/good fixtures" `Quick
       test_float_of_string;
+    Alcotest.test_case "rules: obj-magic on bad/good fixtures" `Quick test_obj_magic;
+    Alcotest.test_case "rules: print-debug on bad/good fixtures" `Quick
+      test_print_debug;
     Alcotest.test_case "rules: poly-compare stays a warning" `Quick
       test_poly_compare_severity;
-    Alcotest.test_case "fallback: unparseable file gets ast-parse + regex" `Quick
-      test_ast_parse_fallback;
-    Alcotest.test_case "differential: engines agree on the corpus" `Quick
-      test_differential_agrees_on_corpus;
-    Alcotest.test_case "differential: regex blind spot is reported" `Quick
-      test_differential_detects_blind_spot;
+    Alcotest.test_case "unparseable file is an ast-parse error" `Quick
+      test_ast_parse_error;
     Alcotest.test_case "registry lists the ast-layer checks" `Quick
       test_registry_lists_ast_checks;
     Alcotest.test_case "allowlist matches whole path components" `Quick

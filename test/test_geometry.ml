@@ -120,103 +120,17 @@ let test_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Setops.min_sq_distance: empty flowpipe")
     (fun () -> ignore (Setops.min_sq_distance [] (box2 0.0 1.0 0.0 1.0)))
 
-(* ---------------- halfspaces & polytopes ---------------- *)
-
-module Halfspace = Dwv_geometry.Halfspace
-module Polytope = Dwv_geometry.Polytope
-
-(* the ACC unsafe halfspace: s <= 120 *)
-let acc_unsafe = Halfspace.make ~normal:[| 1.0; 0.0 |] ~offset:120.0
-
-let test_halfspace_membership () =
-  Alcotest.(check bool) "inside" true (Halfspace.contains acc_unsafe [| 119.0; 50.0 |]);
-  Alcotest.(check bool) "outside" false (Halfspace.contains acc_unsafe [| 121.0; 50.0 |]);
-  Alcotest.(check bool) "boundary" true (Halfspace.contains acc_unsafe [| 120.0; 0.0 |])
-
-let test_halfspace_box_tests () =
-  Alcotest.(check bool) "intersects" true
-    (Halfspace.box_intersects acc_unsafe (box2 119.0 121.0 0.0 1.0));
-  Alcotest.(check bool) "inside" true
-    (Halfspace.box_inside acc_unsafe (box2 100.0 119.0 0.0 1.0));
-  Alcotest.(check bool) "avoids" true
-    (Halfspace.box_avoids acc_unsafe (box2 121.0 130.0 0.0 1.0));
-  check_float "gap" 1.0 (Halfspace.box_gap acc_unsafe (box2 121.0 130.0 0.0 1.0))
-
-let test_halfspace_zonotope_tests () =
-  (* rotated zonotope centered at s = 122 with extent sqrt(2) along the
-     diagonal: its minimum s coordinate is 122 - 1 = 121 > 120 *)
-  let g = Mat.of_rows [ [| 1.0 |]; [| 1.0 |] ] in
-  let z = Zonotope.make ~center:[| 122.0; 50.0 |] ~generators:g in
-  Alcotest.(check bool) "clear" false (Halfspace.zonotope_intersects acc_unsafe z);
-  (* center 119.5: s ranges over [118.5, 120.5] - meets the halfspace but
-     pokes out of it *)
-  let closer = Zonotope.translate [| -2.5; 0.0 |] z in
-  Alcotest.(check bool) "touches" true (Halfspace.zonotope_intersects acc_unsafe closer);
-  Alcotest.(check bool) "not inside" false (Halfspace.zonotope_inside acc_unsafe closer);
-  let deep = Zonotope.translate [| -4.0; 0.0 |] z in
-  Alcotest.(check bool) "inside" true (Halfspace.zonotope_inside acc_unsafe deep)
-
-let test_halfspace_signed_distance () =
-  let h = Halfspace.make ~normal:[| 3.0; 4.0 |] ~offset:0.0 in
-  (* point (3,4): <n,x> = 25, |n| = 5 -> distance 5 *)
-  check_float "normalized" 5.0 (Halfspace.signed_distance h [| 3.0; 4.0 |])
+(* ---------------- ACC unsafe halfspace ---------------- *)
 
 let test_halfspace_deep_box_substitution_sound () =
-  (* the deep box used by the metrics must be contained in the true
-     halfspace over the operating envelope *)
+  (* the deep box used by the metrics must be contained in the true ACC
+     unsafe halfspace s <= 120 over the operating envelope *)
   let deep_box = box2 0.0 120.0 (-100.0) 200.0 in
   List.iter
     (fun p ->
       if Box.contains deep_box p then
-        Alcotest.(check bool) "box point in halfspace" true (Halfspace.contains acc_unsafe p))
+        Alcotest.(check bool) "box point in halfspace" true (p.(0) <= 120.0))
     [ [| 0.0; -100.0 |]; [| 120.0; 200.0 |]; [| 60.0; 50.0 |] ]
-
-let test_polytope_of_box_roundtrip () =
-  let b = box2 (-1.0) 2.0 3.0 5.0 in
-  let p = Polytope.of_box b in
-  Alcotest.(check bool) "center in" true (Polytope.contains p (Box.center b));
-  Alcotest.(check bool) "outside" false (Polytope.contains p [| 3.0; 4.0 |]);
-  (* the widened interval test is conservative on the exact boundary, so
-     prove containment against a slightly bloated polytope *)
-  Alcotest.(check bool) "box inside" true
-    (Polytope.contains_box (Polytope.of_box (Box.bloat 1e-9 b)) b);
-  Alcotest.(check bool) "shrunk box inside" true
-    (Polytope.contains_box p (box2 (-0.99) 1.99 3.01 4.99));
-  Alcotest.(check bool) "shifted avoids" true
-    (Polytope.box_avoids p (box2 5.0 6.0 3.0 5.0))
-
-let test_polytope_triangle () =
-  (* triangle x >= 0, y >= 0, x + y <= 1 *)
-  let tri =
-    Polytope.of_halfspaces
-      [ Halfspace.make ~normal:[| -1.0; 0.0 |] ~offset:0.0;
-        Halfspace.make ~normal:[| 0.0; -1.0 |] ~offset:0.0;
-        Halfspace.make ~normal:[| 1.0; 1.0 |] ~offset:1.0 ]
-  in
-  Alcotest.(check bool) "inside" true (Polytope.contains tri [| 0.25; 0.25 |]);
-  Alcotest.(check bool) "outside" false (Polytope.contains tri [| 0.75; 0.75 |]);
-  Alcotest.(check bool) "small box inside" true
-    (Polytope.contains_box tri (box2 0.1 0.2 0.1 0.2));
-  Alcotest.(check bool) "corner box not inside" false
-    (Polytope.contains_box tri (box2 0.4 0.7 0.4 0.7));
-  Alcotest.(check bool) "distant box avoids" true (Polytope.box_avoids tri (box2 2.0 3.0 2.0 3.0));
-  (* zonotope containment via support functions *)
-  let z = Zonotope.of_box (box2 0.2 0.3 0.2 0.3) in
-  Alcotest.(check bool) "zonotope inside" true (Polytope.zonotope_inside tri z)
-
-let prop_halfspace_box_tests_consistent =
-  QCheck.Test.make ~name:"halfspace box tests partition correctly" ~count:300
-    QCheck.(
-      quad (float_range (-5.0) 5.0) (float_range 0.1 3.0) (float_range (-5.0) 5.0)
-        (float_range 0.1 3.0))
-    (fun (lo0, w0, lo1, w1) ->
-      let b = box2 lo0 (lo0 +. w0) lo1 (lo1 +. w1) in
-      let h = Halfspace.make ~normal:[| 1.0; -0.5 |] ~offset:0.7 in
-      let inside = Halfspace.box_inside h b
-      and avoids = Halfspace.box_avoids h b
-      and meets = Halfspace.box_intersects h b in
-      (* inside => meets; avoids => not meets; not both inside and avoids *)
-      (not (inside && avoids)) && (not inside || meets) && (not avoids || not meets))
 
 let suite =
   [
@@ -234,13 +148,6 @@ let suite =
     Alcotest.test_case "setops any_subset" `Quick test_any_subset;
     Alcotest.test_case "setops hull/volume" `Quick test_hull_total_volume;
     Alcotest.test_case "setops empty raises" `Quick test_empty_raises;
-    Alcotest.test_case "halfspace membership" `Quick test_halfspace_membership;
-    Alcotest.test_case "halfspace box tests" `Quick test_halfspace_box_tests;
-    Alcotest.test_case "halfspace zonotope tests" `Quick test_halfspace_zonotope_tests;
-    Alcotest.test_case "halfspace signed distance" `Quick test_halfspace_signed_distance;
     Alcotest.test_case "halfspace deep-box substitution" `Quick
       test_halfspace_deep_box_substitution_sound;
-    Alcotest.test_case "polytope of box" `Quick test_polytope_of_box_roundtrip;
-    Alcotest.test_case "polytope triangle" `Quick test_polytope_triangle;
-    QCheck_alcotest.to_alcotest prop_halfspace_box_tests_consistent;
   ]

@@ -144,110 +144,6 @@ let prop_expm_inverse =
       let prod = Mat.matmul (Mat.expm m) (Mat.expm (Mat.scale (-1.0) m)) in
       Mat.equal ~eps:1e-7 prod (Mat.identity 2))
 
-(* ---------------- eigenvalues ---------------- *)
-
-module Eig = Dwv_la.Eig
-module Control = Dwv_la.Control
-
-let sorted_res eigs =
-  List.sort compare (List.map (fun (l : Eig.complex) -> l.Eig.re) eigs)
-
-let test_eig_diagonal () =
-  let m = Mat.of_rows [ [| 3.0; 0.0 |]; [| 0.0; -1.0 |] ] in
-  Alcotest.(check (list (float 1e-8))) "diag eigs" [ -1.0; 3.0 ] (sorted_res (Eig.eigenvalues m))
-
-let test_eig_triangular () =
-  let m = Mat.of_rows [ [| 2.0; 5.0; 1.0 |]; [| 0.0; -3.0; 2.0 |]; [| 0.0; 0.0; 0.5 |] ] in
-  Alcotest.(check (list (float 1e-7))) "triangular eigs" [ -3.0; 0.5; 2.0 ]
-    (sorted_res (Eig.eigenvalues m))
-
-let test_eig_symmetric_known () =
-  (* [[2 1];[1 2]]: eigenvalues 1 and 3 *)
-  let m = Mat.of_rows [ [| 2.0; 1.0 |]; [| 1.0; 2.0 |] ] in
-  Alcotest.(check (list (float 1e-8))) "symmetric" [ 1.0; 3.0 ] (sorted_res (Eig.eigenvalues m))
-
-let test_eig_rotation_complex () =
-  (* rotation matrix: eigenvalues cos t +- i sin t, modulus 1 *)
-  let t = 0.4 in
-  let m = Mat.of_rows [ [| cos t; -.sin t |]; [| sin t; cos t |] ] in
-  let eigs = Eig.eigenvalues m in
-  Alcotest.(check int) "two eigenvalues" 2 (List.length eigs);
-  List.iter
-    (fun l ->
-      Alcotest.(check (float 1e-8)) "modulus 1" 1.0 (Eig.modulus l);
-      Alcotest.(check (float 1e-8)) "real part" (cos t) l.Eig.re)
-    eigs
-
-let test_eig_general_3x3 () =
-  (* companion matrix of (s-1)(s-2)(s-3) = s^3 - 6s^2 + 11s - 6 *)
-  let m =
-    Mat.of_rows [ [| 0.0; 1.0; 0.0 |]; [| 0.0; 0.0; 1.0 |]; [| 6.0; -11.0; 6.0 |] ]
-  in
-  Alcotest.(check (list (float 1e-6))) "companion eigs" [ 1.0; 2.0; 3.0 ]
-    (sorted_res (Eig.eigenvalues m))
-
-let test_spectral_radius_and_stability () =
-  let stable = Mat.of_rows [ [| -1.0; 0.5 |]; [| 0.0; -2.0 |] ] in
-  Alcotest.(check bool) "hurwitz" true (Eig.hurwitz_stable stable);
-  let discrete = Mat.of_rows [ [| 0.5; 0.2 |]; [| 0.0; 0.9 |] ] in
-  Alcotest.(check bool) "schur" true (Eig.schur_stable discrete);
-  Alcotest.(check (float 1e-8)) "radius" 0.9 (Eig.spectral_radius discrete)
-
-let test_hessenberg_preserves_eigs () =
-  let m =
-    Mat.of_rows
-      [ [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |]; [| 7.0; 8.0; 10.0 |] ]
-  in
-  let h = Eig.hessenberg m in
-  (* Hessenberg: entry (2,0) is zero *)
-  Alcotest.(check (float 1e-12)) "below subdiagonal" 0.0 (Mat.get h 2 0);
-  (* similarity transform: traces agree *)
-  let tr m = Mat.get m 0 0 +. Mat.get m 1 1 +. Mat.get m 2 2 in
-  Alcotest.(check (float 1e-9)) "trace preserved" (tr m) (tr h)
-
-(* ---------------- control design ---------------- *)
-
-let dbl_integrator =
-  ( Mat.of_rows [ [| 0.0; 1.0 |]; [| 0.0; 0.0 |] ],
-    Mat.of_rows [ [| 0.0 |]; [| 1.0 |] ] )
-
-let test_controllability () =
-  let a, b = dbl_integrator in
-  Alcotest.(check bool) "double integrator controllable" true (Control.controllable a b);
-  (* B in the kernel direction of an uncontrollable mode *)
-  let a2 = Mat.of_rows [ [| 1.0; 0.0 |]; [| 0.0; 2.0 |] ] in
-  let b2 = Mat.of_rows [ [| 1.0 |]; [| 0.0 |] ] in
-  Alcotest.(check bool) "diagonal with partial B uncontrollable" false
-    (Control.controllable a2 b2)
-
-let test_poly_from_roots () =
-  (* (s-1)(s-2) = s^2 - 3 s + 2 -> ascending [2; -3] *)
-  Alcotest.(check (array (float 1e-12))) "quadratic" [| 2.0; -3.0 |]
-    (Control.poly_from_roots [| 1.0; 2.0 |])
-
-let test_ackermann_places_poles () =
-  let a, b = dbl_integrator in
-  let poles = [| -2.0; -3.0 |] in
-  let k = Control.ackermann a b ~poles in
-  (* closed loop A - B K must have exactly these eigenvalues *)
-  let bk = Mat.init 2 2 (fun i j -> Mat.get b i 0 *. k.(j)) in
-  let acl = Mat.sub a bk in
-  Alcotest.(check (list (float 1e-6))) "placed poles" [ -3.0; -2.0 ]
-    (sorted_res (Eig.eigenvalues acl));
-  Alcotest.(check bool) "positive margin" true (Control.closed_loop_margin a b k > 1.9)
-
-let prop_ackermann_random_poles =
-  QCheck.Test.make ~name:"ackermann places random stable poles" ~count:50
-    QCheck.(pair (float_range (-5.0) (-0.5)) (float_range (-5.0) (-0.5)))
-    (fun (p1, p2) ->
-      QCheck.assume (Float.abs (p1 -. p2) > 0.05);
-      let a, b = dbl_integrator in
-      let k = Control.ackermann a b ~poles:[| p1; p2 |] in
-      let expected = List.sort compare [ p1; p2 ] in
-      let bk = Mat.init 2 2 (fun i j -> Mat.get b i 0 *. k.(j)) in
-      let got = sorted_res (Eig.eigenvalues (Mat.sub a bk)) in
-      List.for_all2 (fun x y -> Float.abs (x -. y) < 1e-5) expected got)
-
 let suite =
   [
     Alcotest.test_case "vec basic ops" `Quick test_vec_basic;
@@ -273,15 +169,4 @@ let suite =
     Alcotest.test_case "of_rows ragged" `Quick test_of_rows_ragged;
     QCheck_alcotest.to_alcotest prop_solve_roundtrip;
     QCheck_alcotest.to_alcotest prop_expm_inverse;
-    Alcotest.test_case "eig diagonal" `Quick test_eig_diagonal;
-    Alcotest.test_case "eig triangular" `Quick test_eig_triangular;
-    Alcotest.test_case "eig symmetric" `Quick test_eig_symmetric_known;
-    Alcotest.test_case "eig rotation complex" `Quick test_eig_rotation_complex;
-    Alcotest.test_case "eig companion 3x3" `Quick test_eig_general_3x3;
-    Alcotest.test_case "spectral radius / stability" `Quick test_spectral_radius_and_stability;
-    Alcotest.test_case "hessenberg" `Quick test_hessenberg_preserves_eigs;
-    Alcotest.test_case "controllability" `Quick test_controllability;
-    Alcotest.test_case "poly from roots" `Quick test_poly_from_roots;
-    Alcotest.test_case "ackermann" `Quick test_ackermann_places_poles;
-    QCheck_alcotest.to_alcotest prop_ackermann_random_poles;
   ]

@@ -213,6 +213,17 @@ let test_trend_regressions () =
     "new counter flags" 1
     (List.length (Trend.regressions ~prev (("taylor_steps", 1) :: prev)))
 
+let test_trend_dropped_counter () =
+  (* a counter the history still records but the code no longer
+     registers (e.g. a deleted cache tier's hit count) is absent from
+     the current snapshot: that is not a regression *)
+  let cur = [ ("cache_hits", 10); ("cache_misses", 2); ("nn_flowpipes", 5) ] in
+  Alcotest.(check (list string))
+    "dropped counters are clean" []
+    (Trend.regressions
+       ~prev:(("cache_fast_hits", 3) :: ("retired_work", 0) :: cur)
+       cur)
+
 let test_trend_record_roundtrip () =
   let path = Filename.temp_file "dwv_trend" ".json" in
   Fun.protect
@@ -278,6 +289,7 @@ let suite =
     Alcotest.test_case "floatx linspace" `Quick test_floatx_linspace;
     Alcotest.test_case "floatx kahan" `Quick test_floatx_kahan;
     Alcotest.test_case "trend regressions" `Quick test_trend_regressions;
+    Alcotest.test_case "trend dropped counter" `Quick test_trend_dropped_counter;
     Alcotest.test_case "trend record roundtrip" `Quick test_trend_record_roundtrip;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
