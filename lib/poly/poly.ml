@@ -10,17 +10,22 @@
    long closed-loop flowpipes affordable.
 
    Terms live in a pair of parallel arrays sorted by strictly ascending
-   packed key. The flowpipe kernel multiplies and merges polynomials in
-   its innermost loop, so the representation is chosen for those two
-   operations: [add] is a linear array merge and [mul] a hash
-   accumulation, instead of the O(n log n) persistent-map rebuilds of the
-   original Map-based implementation (~5x the verifier-call cost).
+   packed key. [add] is a linear array merge and [mul] a hash
+   accumulation. The Taylor-model product does not go through [mul]: it
+   only keeps the terms of degree <= order and bounds the rest, so
+   [mul_trunc] multiplies straight into a dense per-(nvars, order) slot
+   array and folds the degree > order tail into its enclosure during the
+   one ordered scan, without ever building it (see [mul_trunc] below).
 
    Bit-compatibility contract: every operation performs the SAME float
    additions in the SAME order as the historical Map implementation
-   (ascending-key iteration; in [mul], contributions to one result key
-   accumulate in ascending order of the left factor's key), so flowpipes,
-   certificates and counters are bit-identical across the swap. *)
+   (ascending-key iteration; in a product, contributions to one result
+   key accumulate in ascending order of the left factor's key), so
+   flowpipes, certificates and counters are bit-identical across
+   representations. [mul_trunc ~order a b] is bit-identical to
+   [truncate ~order (mul a b)] followed by [bound_unit] of the dropped
+   part: same kept keys (zero coefficients included), same coefficient
+   bits, same tail bounds. *)
 
 module I = Dwv_interval.Interval
 
@@ -162,10 +167,10 @@ let map_coeffs f p =
   let keys = Array.make n 0 and coeffs = Array.make n 0.0 in
   let m = ref 0 in
   for i = 0 to n - 1 do
-    let c' = f p.coeffs.(i) in
-    if c' <> 0.0 then begin
+    (* written in place, kept only when nonzero (no boxed temporary) *)
+    coeffs.(!m) <- f p.coeffs.(i);
+    if coeffs.(!m) <> 0.0 then begin
       keys.(!m) <- p.keys.(i);
-      coeffs.(!m) <- c';
       incr m
     end
   done;
@@ -196,8 +201,8 @@ let add a b =
         keys.(!m) <- kb; coeffs.(!m) <- b.coeffs.(!j); incr j; incr m
       end
       else begin
-        let s = a.coeffs.(!i) +. b.coeffs.(!j) in
-        if s <> 0.0 then begin keys.(!m) <- ka; coeffs.(!m) <- s; incr m end;
+        coeffs.(!m) <- a.coeffs.(!i) +. b.coeffs.(!j);
+        if coeffs.(!m) <> 0.0 then begin keys.(!m) <- ka; incr m end;
         incr i; incr j
       end
     done;
@@ -304,30 +309,30 @@ let mul a b =
     let nt = ref 0 in
     let maxkey = ref 0 in
     for i = 0 to na - 1 do
-      let ka = a.keys.(i) and ca = a.coeffs.(i) in
+      let ka = a.keys.(i) in
       for j = 0 to nb - 1 do
         let k = ka + b.keys.(j) in
-        let c = ca *. b.coeffs.(j) in
         let h = ref (slot_hash k cap) in
         while Bytes.unsafe_get sstate !h <> st_empty && Array.unsafe_get skeys !h <> k do
           h := (!h + 1) land (cap - 1)
         done;
         let h = !h in
+        (* the contribution a.coeffs.(i) *. b.coeffs.(j) is written straight
+           into the slot: no boxed float temporaries *)
         (match Bytes.unsafe_get sstate h with
         | c0 when c0 = st_empty ->
           Bytes.unsafe_set sstate h st_present;
           Array.unsafe_set skeys h k;
-          Array.unsafe_set svals h c;
+          Array.unsafe_set svals h (a.coeffs.(i) *. b.coeffs.(j));
           touched.(!nt) <- h;
           incr nt;
           if k > !maxkey then maxkey := k
         | c0 when c0 = st_present ->
-          let sum = Array.unsafe_get svals h +. c in
-          if sum = 0.0 then Bytes.unsafe_set sstate h st_evicted
-          else Array.unsafe_set svals h sum
+          Array.unsafe_set svals h (Array.unsafe_get svals h +. (a.coeffs.(i) *. b.coeffs.(j)));
+          if Array.unsafe_get svals h = 0.0 then Bytes.unsafe_set sstate h st_evicted
         | _ (* evicted: restart from this contribution *) ->
           Bytes.unsafe_set sstate h st_present;
-          Array.unsafe_set svals h c)
+          Array.unsafe_set svals h (a.coeffs.(i) *. b.coeffs.(j)))
       done
     done;
     (* gather live slots (resetting the table for the next call) *)
@@ -343,13 +348,15 @@ let mul a b =
       Bytes.unsafe_set sstate h st_empty
     done;
     let n = !n in
-    (* LSD radix sort of (rk, rv) by key, one byte per pass *)
+    (* LSD radix sort of (rk, rv) by key, one byte per pass, ping-ponging
+       between (rk, rv) and (rk2, rv2); [flipped] says the sorted-so-far
+       data sits in the second pair *)
     let counts = s.counts in
-    let src_k = ref rk and src_v = ref rv and dst_k = ref s.rk2 and dst_v = ref s.rv2 in
+    let flipped = ref false in
     let shift = ref 0 in
     while !maxkey lsr !shift > 0 do
       Array.fill counts 0 256 0;
-      let sk = !src_k in
+      let sk = if !flipped then s.rk2 else s.rk in
       for t = 0 to n - 1 do
         let d = (Array.unsafe_get sk t) lsr !shift land 0xff in
         counts.(d) <- counts.(d) + 1
@@ -360,7 +367,9 @@ let mul a b =
         counts.(d) <- !pos;
         pos := !pos + c
       done;
-      let sv = !src_v and dk = !dst_k and dv = !dst_v in
+      let sv = if !flipped then s.rv2 else s.rv in
+      let dk = if !flipped then s.rk else s.rk2 in
+      let dv = if !flipped then s.rv else s.rv2 in
       for t = 0 to n - 1 do
         let k = Array.unsafe_get sk t in
         let d = k lsr !shift land 0xff in
@@ -369,14 +378,11 @@ let mul a b =
         Array.unsafe_set dk p k;
         Array.unsafe_set dv p (Array.unsafe_get sv t)
       done;
-      let tk = !src_k and tv = !src_v in
-      src_k := !dst_k;
-      src_v := !dst_v;
-      dst_k := tk;
-      dst_v := tv;
+      flipped := not !flipped;
       shift := !shift + 8
     done;
-    mk a.nvars (Array.sub !src_k 0 n) (Array.sub !src_v 0 n)
+    if !flipped then mk a.nvars (Array.sub s.rk2 0 n) (Array.sub s.rv2 0 n)
+    else mk a.nvars (Array.sub s.rk 0 n) (Array.sub s.rv 0 n)
   end
 
 let rec pow p n =
@@ -436,9 +442,11 @@ let partition_coeffs keep p =
 
 (* Largest |coefficient| (0 for the zero polynomial). *)
 let max_abs_coeff p =
-  let m = ref 0.0 in
-  Array.iter (fun c -> m := Float.max !m (Float.abs c)) p.coeffs;
-  !m
+  let m = [| 0.0 |] in
+  for i = 0 to Array.length p.coeffs - 1 do
+    m.(0) <- Float.max m.(0) (Float.abs p.coeffs.(i))
+  done;
+  m.(0)
 
 let eval p x =
   if Array.length x <> p.nvars then invalid_arg "Poly.eval: arity mismatch";
@@ -489,33 +497,277 @@ let ieval p (box : Dwv_interval.Box.t) =
 
 (* Enclosure over the canonical Taylor-model domain [-1,1]^n, on the fast
    path: a monomial with all exponents even ranges over [0, c] (or [c, 0]),
-   any other monomial over [-|c|, |c|]. Pure float arithmetic. *)
+   any other monomial over [-|c|, |c|]. Pure float arithmetic.
+
+   [add_unit_term acc mask key coeffs i] folds the term (key, coeffs.(i))
+   into the running bounds acc.(0) (lo) and acc.(1) (hi). It is the one
+   definition of that fold: [bound_unit] and the tail scan of
+   [mul_trunc] both call it, in ascending key order, so the two produce
+   the same bits. The running bounds live in a float array (unboxed),
+   and the coefficient is read in place. *)
+let[@inline] add_unit_term (acc : float array) mask key (coeffs : float array) i =
+  if key = 0 then begin
+    (* constant monomial: exact *)
+    acc.(0) <- acc.(0) +. coeffs.(i);
+    acc.(1) <- acc.(1) +. coeffs.(i)
+  end
+  else if key land mask = 0 then begin
+    (* all exponents even (some positive): monomial value in [0, 1] *)
+    if coeffs.(i) >= 0.0 then acc.(1) <- acc.(1) +. coeffs.(i)
+    else acc.(0) <- acc.(0) +. coeffs.(i)
+  end
+  else begin
+    acc.(0) <- acc.(0) -. Float.abs coeffs.(i);
+    acc.(1) <- acc.(1) +. Float.abs coeffs.(i)
+  end
+
 let bound_unit p =
   match p.bcache with
   | Some b -> b
   | None ->
   let mask = parity_mask p.nvars in
-  let lo = ref 0.0 and hi = ref 0.0 in
+  let acc = [| 0.0; 0.0 |] in
   for i = 0 to Array.length p.keys - 1 do
-    let key = p.keys.(i) and c = p.coeffs.(i) in
-    if key = 0 then begin
-      (* constant monomial: exact *)
-      lo := !lo +. c;
-      hi := !hi +. c
-    end
-    else if key land mask = 0 then begin
-      (* all exponents even (some positive): monomial value in [0, 1] *)
-      if c >= 0.0 then hi := !hi +. c else lo := !lo +. c
-    end
-    else begin
-      let a = Float.abs c in
-      lo := !lo -. a;
-      hi := !hi +. a
-    end
+    add_unit_term acc mask p.keys.(i) p.coeffs i
   done;
-  let b = I.make !lo !hi in
+  let b = I.make acc.(0) acc.(1) in
   p.bcache <- Some b;
   b
+
+(* ---------- fused truncated product ---------- *)
+
+(* [mul_trunc ~order a b] = [truncate ~order (mul a b)] with the dropped
+   part replaced by its [bound_unit] enclosure, without building that
+   part. In a Taylor-model product almost every coefficient pair lands
+   above the model order (at 9 variables and order 3, two full operands
+   of 220 terms make 5 005 product terms of which 220 are kept), so
+   hashing, sorting and allocating the tail only to fold it into two
+   floats is nearly all of the sparse route's cost.
+
+   For a fixed (nvars, order) every product of two degree <= order
+   monomials is one of the C(nvars + 2 order, 2 order) monomials of
+   degree <= 2 order. A per-domain context enumerates them once in
+   ascending packed-key order (dense slot h <-> h-th smallest key), ranks
+   the degree <= order ones, and tabulates the slot of every rank pair.
+   The kernel then accumulates each coefficient product into its slot
+   and makes one ascending scan over the touched slot range: kept slots
+   are copied out, tail slots go through [add_unit_term].
+
+   Bit-identity with the sparse route, by construction: the pairs are
+   visited outer-left / inner-right as in [mul], so each slot receives
+   its contributions in the same order; the slot states follow [mul]'s
+   rules (a running sum of exactly 0.0 evicts, a contribution landing on
+   an empty or evicted slot restarts from its own value and is kept even
+   when it is 0.0); slot order is key order, so the kept terms come out
+   sorted and the tail is folded in [bound_unit]'s order. Empty and
+   evicted behave alike, so the kernel has one absent state, and an
+   absent slot holds -0.0: x +. (-0.0) = x for every x, signed zeros
+   included, so restarting from a contribution is the same addition as
+   accumulating it and the pair loop only branches on an exact-zero sum.
+
+   The sparse [mul] + [truncate] + [bound_unit] route stays as the only
+   fallback: when an operand has a term of degree > order (no rank), when
+   2 order exceeds the packed exponent range, or when the context would
+   have more than [dense_max_slots] slots. *)
+
+(* 2^15 slots admits order 3 up to 13 variables (the 3-D and oscillator
+   flowpipes with 6 or 8 disturbance slots use 9 to 11) and bounds the
+   largest admitted product table at a few MB per domain. *)
+let dense_max_slots = 1 lsl 15
+
+type dense = {
+  d_nvars : int;
+  d_order : int;
+  d_mask : int;  (* parity_mask d_nvars *)
+  nranks : int;  (* number of monomials of degree <= order *)
+  rank_keys : int array;  (* their keys, ascending: index = rank *)
+  slot_keys : int array;  (* all keys of degree <= 2 order, ascending: index = slot *)
+  kept : Bytes.t;  (* '\001' where the slot's degree is <= order *)
+  prod : int array;  (* (rank a) * nranks + (rank b) -> slot of the product key *)
+  vals : float array;  (* per-slot running sums; -0.0 in every absent slot *)
+  state : Bytes.t;  (* st_present, or st_empty when absent; all absent between calls *)
+  ra : int array;  (* ranks of the left operand's terms *)
+  rb : int array;  (* ranks of the right operand's terms *)
+  out_keys : int array;
+  out_coeffs : float array;
+  tail : float array;  (* [| lo; hi |] of the dropped part *)
+}
+
+type dense_cache = { mutable contexts : dense list }
+
+let dense_key : dense_cache Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { contexts = [] })
+
+(* C(n, k), exact: each partial product is itself a binomial. *)
+let binomial n k =
+  let c = ref 1 in
+  for i = 1 to k do
+    c := !c * (n - k + i) / i
+  done;
+  !c
+
+(* Index of [key] in the ascending [keys.(lo .. hi-1)], or -1. *)
+let rec search keys lo hi key =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    if keys.(mid) < key then search keys (mid + 1) hi key
+    else if keys.(mid) > key then search keys lo mid key
+    else mid
+  end
+
+let build_dense nvars order nslots =
+  let deg = 2 * order in
+  let slot_keys = Array.make nslots 0 and kept = Bytes.make nslots '\000' in
+  let n = ref 0 in
+  (* Exponents are chosen from the highest variable down, each ascending,
+     which is exactly ascending packed-key order. *)
+  let rec fill var budget key =
+    if var < 0 then begin
+      slot_keys.(!n) <- key;
+      if deg - budget <= order then Bytes.set kept !n '\001';
+      incr n
+    end
+    else
+      for e = 0 to budget do
+        fill (var - 1) (budget - e) (key lor (e lsl (var * bits_per_var)))
+      done
+  in
+  fill (nvars - 1) deg 0;
+  let nranks = binomial (nvars + order) order in
+  let rank_keys = Array.make nranks 0 in
+  let r = ref 0 in
+  for h = 0 to nslots - 1 do
+    if Bytes.get kept h = '\001' then begin
+      rank_keys.(!r) <- slot_keys.(h);
+      incr r
+    end
+  done;
+  let prod = Array.make (nranks * nranks) 0 in
+  for i = 0 to nranks - 1 do
+    for j = i to nranks - 1 do
+      let h = search slot_keys 0 nslots (rank_keys.(i) + rank_keys.(j)) in
+      prod.((i * nranks) + j) <- h;
+      prod.((j * nranks) + i) <- h
+    done
+  done;
+  {
+    d_nvars = nvars;
+    d_order = order;
+    d_mask = parity_mask nvars;
+    nranks;
+    rank_keys;
+    slot_keys;
+    kept;
+    prod;
+    vals = Array.make nslots (-0.0);
+    state = Bytes.make nslots st_empty;
+    ra = Array.make nranks 0;
+    rb = Array.make nranks 0;
+    out_keys = Array.make nranks 0;
+    out_coeffs = Array.make nranks 0.0;
+    tail = [| 0.0; 0.0 |];
+  }
+
+let rec find_dense nvars order = function
+  | [] -> None
+  | d :: rest ->
+    if d.d_nvars = nvars && d.d_order = order then Some d else find_dense nvars order rest
+
+(* This domain's context for (nvars, order), built on first use; [None]
+   when the context would exceed [dense_max_slots]. *)
+let dense_context nvars order =
+  let cache = Domain.DLS.get dense_key in
+  match find_dense nvars order cache.contexts with
+  | Some _ as hit -> hit
+  | None ->
+    let nslots = binomial (nvars + (2 * order)) (2 * order) in
+    if nslots > dense_max_slots then None
+    else begin
+      let d = build_dense nvars order nslots in
+      cache.contexts <- d :: cache.contexts;
+      Some d
+    end
+
+(* Write the rank of each of [p]'s terms into [dst]; false as soon as a
+   term has degree > order (its key has no rank). Keys ascend, so each
+   search starts past the previous rank. *)
+let rank_terms d p dst =
+  let n = Array.length p.keys in
+  let rec go i lo =
+    if i = n then true
+    else begin
+      let r = search d.rank_keys lo d.nranks p.keys.(i) in
+      if r < 0 then false
+      else begin
+        dst.(i) <- r;
+        go (i + 1) (r + 1)
+      end
+    end
+  in
+  go 0 0
+
+let dense_mul_trunc d a b =
+  let na = Array.length a.keys and nb = Array.length b.keys in
+  let ra = d.ra and rb = d.rb and prod = d.prod and nr = d.nranks in
+  let ac = a.coeffs and bc = b.coeffs and vals = d.vals and state = d.state in
+  for i = 0 to na - 1 do
+    let row = Array.unsafe_get ra i * nr in
+    for j = 0 to nb - 1 do
+      let h = Array.unsafe_get prod (row + Array.unsafe_get rb j) in
+      (* restarts an absent slot (-0.0) or accumulates into a present one *)
+      Array.unsafe_set vals h
+        (Array.unsafe_get vals h +. (Array.unsafe_get ac i *. Array.unsafe_get bc j));
+      if Array.unsafe_get vals h = 0.0 && Bytes.unsafe_get state h = st_present then begin
+        (* a running sum of exactly 0.0 evicts *)
+        Bytes.unsafe_set state h st_empty;
+        Array.unsafe_set vals h (-0.0)
+      end
+      else Bytes.unsafe_set state h st_present
+    done
+  done;
+  (* Key addition is monotone, so every touched slot lies between the
+     products of the two smallest and of the two largest keys. The scan
+     steps over aligned runs of 8 absent slots with one 64-bit load, and
+     returns each present slot to absent (state empty, value -0.0). *)
+  let first = prod.((ra.(0) * nr) + rb.(0)) in
+  let last = prod.((ra.(na - 1) * nr) + rb.(nb - 1)) in
+  let slot_keys = d.slot_keys and kept = d.kept and tail = d.tail in
+  let out_keys = d.out_keys and out_coeffs = d.out_coeffs in
+  tail.(0) <- 0.0;
+  tail.(1) <- 0.0;
+  let m = ref 0 and h = ref first in
+  while !h <= last do
+    let s = !h in
+    if s land 7 = 0 && s + 7 <= last && Bytes.get_int64_le state s = 0L then h := s + 8
+    else begin
+      if Bytes.unsafe_get state s = st_present then begin
+        if Bytes.unsafe_get kept s = '\001' then begin
+          out_keys.(!m) <- slot_keys.(s);
+          out_coeffs.(!m) <- vals.(s);
+          incr m
+        end
+        else add_unit_term tail d.d_mask slot_keys.(s) vals s;
+        Bytes.unsafe_set state s st_empty;
+        Array.unsafe_set vals s (-0.0)
+      end;
+      h := s + 1
+    end
+  done;
+  (mk a.nvars (Array.sub out_keys 0 !m) (Array.sub out_coeffs 0 !m), I.make tail.(0) tail.(1))
+
+let sparse_mul_trunc ~order a b =
+  let keep, drop = truncate ~order (mul a b) in
+  (keep, bound_unit drop)
+
+let mul_trunc ~order a b =
+  if a.nvars <> b.nvars then invalid_arg "Poly.mul_trunc: arity mismatch";
+  if Array.length a.keys = 0 || Array.length b.keys = 0 then (mk a.nvars [||] [||], I.zero)
+  else if order < 0 || 2 * order > max_exponent then sparse_mul_trunc ~order a b
+  else
+    match dense_context a.nvars order with
+    | Some d when rank_terms d a d.ra && rank_terms d b d.rb -> dense_mul_trunc d a b
+    | _ -> sparse_mul_trunc ~order a b
 
 (* Partial derivative. Differentiating never merges distinct monomials
    (the key shift is injective on terms with a positive exponent), so the

@@ -50,6 +50,16 @@ val pow : t -> int -> t
     and the dropped remainder polynomial. *)
 val truncate : order:int -> t -> t * t
 
+(** [mul_trunc ~order a b] = (low, tail): the terms of [mul a b] of total
+    degree <= order, and the [bound_unit] enclosure of the terms above it.
+    Bit-identical to [truncate ~order (mul a b)] followed by [bound_unit]
+    of the dropped part (same keys, zero coefficients included, same
+    coefficient and bound bits), but the dropped part is never built: the
+    product accumulates into a dense per-domain table of the monomials of
+    degree <= 2 order. Falls back to that sparse route when an operand
+    has a term of degree > order or the table would be too large. *)
+val mul_trunc : order:int -> t -> t -> t * Dwv_interval.Interval.t
+
 (** [split_var p i] = (terms without zᵢ, terms with zᵢ). *)
 val split_var : t -> int -> t * t
 

@@ -108,17 +108,15 @@ let symbolize_remainder ~slot tm =
 
 (* (p1 + r1)(p2 + r2) = p1 p2 + p1 r2 + p2 r1 + r1 r2; the product
    polynomial is truncated to the model order and the dropped tail is
-   bounded into the remainder. *)
+   bounded into the remainder. [Poly.mul_trunc] does both in one pass and
+   never builds the tail. *)
 let mul a b =
   if nvars a <> nvars b then invalid_arg "Taylor_model.mul: arity mismatch";
   let order = join_order a b in
-  let product = Poly.mul a.poly b.poly in
-  let keep, drop = Poly.truncate ~order product in
+  let keep, tail = Poly.mul_trunc ~order a.poly b.poly in
   let bp1 = Poly.bound_unit a.poly and bp2 = Poly.bound_unit b.poly in
   let rem =
-    I.add
-      (Poly.bound_unit drop)
-      (I.add (I.mul bp1 b.rem) (I.add (I.mul bp2 a.rem) (I.mul a.rem b.rem)))
+    I.add tail (I.add (I.mul bp1 b.rem) (I.add (I.mul bp2 a.rem) (I.mul a.rem b.rem)))
   in
   { poly = keep; rem; order }
 

@@ -315,6 +315,32 @@ let test_intra_call_polar_domains_1_vs_4 () =
     (osc_pipe_at ~method_:Verifier.Polar 1)
     (osc_pipe_at ~method_:Verifier.Polar 4)
 
+(* The benchmark's own settings: order-3 Taylor models with the fast (6)
+   and tight (8) symbolic-remainder budgets, on the oscillator (8 and 10
+   variables) and on 3-D (9 and 11). Every Taylor-model product then runs
+   the dense truncated kernel, whose tables each worker domain builds for
+   itself, so step AND segment boxes must not depend on the domain
+   count. *)
+let threed_controller = lazy (Threed.pretrained_controller (Rng.create 1))
+
+let test_intra_call_polar_bench_settings () =
+  let same label pipe_at =
+    let a = pipe_at 1 and b = pipe_at 4 in
+    check_same_pipe label a b;
+    List.iter2
+      (fun x y -> Alcotest.(check bool) (label ^ ": bit-identical segment box") true (x = y))
+      (Flowpipe.segment_boxes a) (Flowpipe.segment_boxes b)
+  in
+  List.iter
+    (fun slots ->
+      same (Printf.sprintf "oscillator order 3, %d slots" slots) (fun domains ->
+          Pool.with_pool ~oversubscribe:true ~domains (fun pool ->
+              Oscillator.verify ~slots ~pool (Lazy.force osc_controller)));
+      same (Printf.sprintf "3-D order 3, %d slots" slots) (fun domains ->
+          Pool.with_pool ~oversubscribe:true ~domains (fun pool ->
+              Threed.verify ~slots ~pool (Lazy.force threed_controller))))
+    [ Oscillator.fast_slots; Oscillator.tight_slots ]
+
 let test_intra_call_bernstein_domains_1_vs_4 () =
   (* samples_per_dim = 10 on a 2-D plant is a 100-point remainder grid,
      over the parallel-tabulation threshold, so the pool path engages *)
@@ -554,6 +580,8 @@ let suite =
       test_acc_initset_even_domains_1_vs_4;
     Alcotest.test_case "intra-call polar step: domains 1 = 4" `Quick
       test_intra_call_polar_domains_1_vs_4;
+    Alcotest.test_case "intra-call polar, bench settings: domains 1 = 4" `Quick
+      test_intra_call_polar_bench_settings;
     Alcotest.test_case "intra-call bernstein grid: domains 1 = 4" `Quick
       test_intra_call_bernstein_domains_1_vs_4;
     Alcotest.test_case "lie table published once" `Quick test_lie_table_published_once;

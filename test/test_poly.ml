@@ -190,6 +190,111 @@ let test_bernstein_remainder_decreases_with_samples () =
   let fine = Bernstein.remainder_sampled ~lipschitz:3.0 ~f ~samples_per_dim:30 a in
   Alcotest.(check bool) "finer grid tightens" true (fine < coarse)
 
+(* ---------- fused truncated product vs the sparse route ---------- *)
+
+(* What [Poly.mul_trunc] must reproduce bit for bit: the full sparse
+   product, split at the order, the dropped part bounded over [-1,1]^n. *)
+let mul_trunc_oracle ~order a b =
+  let keep, drop = Poly.truncate ~order (Poly.mul a b) in
+  (keep, Poly.bound_unit drop)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Same keys in the same order (zero coefficients included) with the same
+   coefficient bits. *)
+let same_terms p q =
+  let tp = Poly.to_terms p and tq = Poly.to_terms q in
+  List.length tp = List.length tq
+  && List.for_all2
+       (fun (ea, ca) (eb, cb) -> Array.for_all2 Int.equal ea eb && same_bits ca cb)
+       tp tq
+
+let same_interval x y = same_bits (I.lo x) (I.lo y) && same_bits (I.hi x) (I.hi y)
+
+(* Exact small values make sums cancel to exactly 0.0; 1e-200 squared
+   underflows to (signed) zero, so products carry zero-coefficient terms. *)
+let coeff_pool = [| 0.0; 1.0; -1.0; 0.5; -0.5; 2.0; -3.0; 1e-200; -1e-200 |]
+
+(* A random polynomial over [nvars] variables with terms of total degree
+   <= [max_degree]. *)
+let random_poly st ~nvars ~max_degree =
+  let nterms = Random.State.int st 25 in
+  let terms =
+    List.init nterms (fun _ ->
+        let e = Array.make nvars 0 in
+        for _ = 1 to Random.State.int st (max_degree + 1) do
+          let v = Random.State.int st nvars in
+          e.(v) <- e.(v) + 1
+        done;
+        let c =
+          if Random.State.bool st then coeff_pool.(Random.State.int st (Array.length coeff_pool))
+          else Random.State.float st 2.0 -. 1.0
+        in
+        (e, c))
+  in
+  Poly.of_terms nvars terms
+
+(* One seeded case: nvars 1-11 and order 1-4 (10-11 variables at order 4
+   exceed the dense slot limit, so the fallback runs too), operands of
+   degree > order one time in five, and the right operand independent,
+   equal to the left, its negation (every sum cancels) or a rescaling. *)
+let mul_trunc_case seed =
+  let st = Random.State.make [| seed |] in
+  let nvars = 1 + Random.State.int st 11 and order = 1 + Random.State.int st 4 in
+  let operand () =
+    let max_degree = if Random.State.int st 5 = 0 then order + 2 else order in
+    let p = random_poly st ~nvars ~max_degree in
+    (* a truncated product carries the zero-coefficient terms [of_terms]
+       cannot build *)
+    if Random.State.int st 4 = 0 then
+      fst (mul_trunc_oracle ~order p (random_poly st ~nvars ~max_degree))
+    else p
+  in
+  let a = operand () in
+  let b =
+    match Random.State.int st 4 with
+    | 0 -> Poly.neg a
+    | 1 -> a
+    | 2 -> Poly.scale coeff_pool.(1 + Random.State.int st 6) a
+    | _ -> operand ()
+  in
+  (order, a, b)
+
+let prop_mul_trunc_bit_identical =
+  QCheck.Test.make ~name:"mul_trunc bit-identical to truncate (mul a b) + bound_unit"
+    ~count:2000
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let order, a, b = mul_trunc_case seed in
+      let keep, tail = Poly.mul_trunc ~order a b in
+      let keep', tail' = mul_trunc_oracle ~order a b in
+      same_terms keep keep' && same_interval tail tail')
+
+let test_mul_trunc_edges () =
+  let x = Poly.var 2 0 and y = Poly.var 2 1 in
+  let xy = Poly.add x y in
+  let agree name ~order a b =
+    let keep, tail = Poly.mul_trunc ~order a b in
+    let keep', tail' = mul_trunc_oracle ~order a b in
+    Alcotest.(check bool) name true (same_terms keep keep' && same_interval tail tail')
+  in
+  agree "zero operand" ~order:2 (Poly.zero 2) xy;
+  agree "x y times its negation" ~order:1 xy (Poly.neg xy);
+  agree "operand above the order" ~order:1 (Poly.mul xy xy) xy;
+  agree "order 0" ~order:0 xy xy;
+  (* (x + y)(x - y) = x^2 - y^2: the x y contributions cancel exactly *)
+  let keep, tail = Poly.mul_trunc ~order:2 xy (Poly.sub x y) in
+  Alcotest.(check int) "cancelled x y evicted" 2 (Poly.num_terms keep);
+  Alcotest.(check bool) "no tail" true (same_interval tail I.zero);
+  (* a zero product on an empty slot is kept, as [mul] keeps it *)
+  let tiny = Poly.scale 1e-200 x in
+  let keep, _ = Poly.mul_trunc ~order:2 tiny tiny in
+  Alcotest.(check int) "underflowed term kept" 1 (Poly.num_terms keep);
+  (* 11 variables at order 4: C(19, 8) slots, above the dense limit *)
+  let st = Random.State.make [| 7 |] in
+  let big () = random_poly st ~nvars:11 ~max_degree:4 in
+  agree "above the slot limit" ~order:4 (big ()) (big ())
+
 let suite =
   [
     Alcotest.test_case "eval" `Quick test_eval;
@@ -207,6 +312,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bound_unit_sound;
     QCheck_alcotest.to_alcotest prop_mul_eval_homomorphism;
     QCheck_alcotest.to_alcotest prop_ieval_sound;
+    QCheck_alcotest.to_alcotest prop_mul_trunc_bit_identical;
+    Alcotest.test_case "mul_trunc edge cases" `Quick test_mul_trunc_edges;
     Alcotest.test_case "binomial" `Quick test_binomial;
     Alcotest.test_case "basis partition of unity" `Quick test_basis_partition_of_unity;
     Alcotest.test_case "bernstein linear exact" `Quick test_bernstein_reproduces_linear;

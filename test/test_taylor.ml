@@ -197,6 +197,92 @@ let prop_compose_soundness =
       let enclosure = I.widen ~eps:1e-9 (Tm.eval tm [| z |]) in
       I.contains enclosure (tanh ((s *. z) +. c)))
 
+(* ---------- the fused product against the historical formula ---------- *)
+
+(* [Tm.mul] as written before the fused kernel: the full sparse product,
+   truncated, with the dropped part bounded into the remainder. *)
+let mul_oracle a b =
+  let order = min (Tm.order a) (Tm.order b) in
+  let keep, drop = Poly.truncate ~order (Poly.mul (Tm.poly a) (Tm.poly b)) in
+  let bp1 = Poly.bound_unit (Tm.poly a) and bp2 = Poly.bound_unit (Tm.poly b) in
+  let ra = Tm.remainder a and rb = Tm.remainder b in
+  let rem =
+    I.add (Poly.bound_unit drop) (I.add (I.mul bp1 rb) (I.add (I.mul bp2 ra) (I.mul ra rb)))
+  in
+  (keep, rem, order)
+
+let random_tm st ~nvars ~order =
+  let poly = Test_poly.random_poly st ~nvars ~max_degree:(order + 1) in
+  let r = Random.State.float st 1e-3 in
+  Tm.make ~poly ~rem:(I.make (-.r) r) ~order
+
+(* Operands of equal orders, and (via [add] of mixed orders, which keeps
+   the higher-degree terms) operands whose polynomial exceeds the product
+   order, so both the dense kernel and the sparse fallback are compared. *)
+let prop_mul_matches_oracle =
+  QCheck.Test.make ~name:"Tm.mul bit-identical to the sparse formula" ~count:500
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let nvars = 1 + Random.State.int st 9 and order = 1 + Random.State.int st 3 in
+      let a = random_tm st ~nvars ~order in
+      let a =
+        if Random.State.bool st then a
+        else Tm.add a (random_tm st ~nvars ~order:(order + 1))
+      in
+      let b = if Random.State.int st 4 = 0 then Tm.neg a else random_tm st ~nvars ~order in
+      let p = Tm.mul a b in
+      let keep, rem, ord = mul_oracle a b in
+      Tm.order p = ord
+      && Test_poly.same_terms (Tm.poly p) keep
+      && Test_poly.same_interval (Tm.remainder p) rem)
+
+(* Every monomial of degree <= order over [nvars] variables, with nonzero
+   coefficients: the densest model of that shape. *)
+let full_model ~nvars ~order =
+  let terms = ref [] in
+  let rec fill var budget e =
+    if var = nvars then terms := (Array.copy e, 1.0 /. float_of_int (2 + List.length !terms)) :: !terms
+    else
+      for k = 0 to budget do
+        e.(var) <- k;
+        fill (var + 1) (budget - k) e;
+        e.(var) <- 0
+      done
+  in
+  fill 0 order (Array.make nvars 0);
+  Tm.make ~poly:(Poly.of_terms nvars !terms) ~rem:I.zero ~order
+
+(* Words this domain has allocated so far. [Gc.minor_words] is exact;
+   [Gc.counters] adds the major-heap words, which is where arrays above
+   256 words go directly. Promotion counts a surviving block a second
+   time, hence the subtraction. ([Gc.quick_stat] is no use here: in
+   OCaml 5 it sums every domain's counts, folded in at collections.) *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Two full order-3 models over 9 variables (220 terms each) multiply to
+   5 005 terms, 4 785 of them above the order. A product that allocates
+   fewer words than that has not materialised the dropped tail. The
+   product's allocation is deterministic, so the least of three
+   measurements discards anything else the runtime did meanwhile. *)
+let test_mul_allocation () =
+  let a = full_model ~nvars:9 ~order:3 and b = full_model ~nvars:9 ~order:3 in
+  Alcotest.(check int) "full model terms" 220 (Poly.num_terms (Tm.poly a));
+  Alcotest.(check int) "sparse product terms" 5005
+    (Poly.num_terms (Poly.mul (Tm.poly a) (Tm.poly b)));
+  Alcotest.(check int) "kept terms" 220 (Poly.num_terms (Tm.poly (Tm.mul a b)));
+  (* the product above built this domain's tables *)
+  let measure () =
+    let before = allocated_words () in
+    ignore (Sys.opaque_identity (Tm.mul a b));
+    allocated_words () -. before
+  in
+  let words = Float.min (measure ()) (Float.min (measure ()) (measure ())) in
+  if words >= 5005.0 then
+    Alcotest.failf "Tm.mul allocated %.0f words, not below the 5005-term product" words
+
 let suite =
   [
     Alcotest.test_case "var identity" `Quick test_var_identity;
@@ -223,4 +309,6 @@ let suite =
     Alcotest.test_case "tm_vec extra vars" `Quick test_tm_vec_extra_vars;
     Alcotest.test_case "order guard" `Quick test_order_guard;
     QCheck_alcotest.to_alcotest prop_compose_soundness;
+    QCheck_alcotest.to_alcotest prop_mul_matches_oracle;
+    Alcotest.test_case "mul allocates below the full product" `Quick test_mul_allocation;
   ]
