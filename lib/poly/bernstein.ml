@@ -152,18 +152,31 @@ let remainder_lipschitz ~lipschitz a =
     a.degrees;
   1.5 *. !acc
 
+(* Lipschitz variation between neighbouring points of the sampled
+   remainder's [samples_per_dim]^n grid: L·|h| with h_i = w_i/(s-1). The
+   measured error it pads is >= 0, so it is a floor of
+   [remainder_sampled] that [remainder] reads before deciding to sweep. *)
+let sweep_pad ~lipschitz ~samples_per_dim a =
+  if samples_per_dim < 2 then invalid_arg "Bernstein.remainder_sampled: need >= 2 samples";
+  let spacing = float_of_int (samples_per_dim - 1) in
+  lipschitz
+  *. sqrt
+       (Array.fold_left
+          (fun h2 wi -> h2 +. Dwv_util.Floatx.sq (wi /. spacing))
+          0.0 (Box.widths a.box))
+
+let c_bernstein_sweeps = Dwv_util.Counters.counter "bernstein_sweeps"
+
 (* ReachNN-style sampled remainder: measure |f - B| on a finer grid of
    [samples_per_dim]^n points and pad with the Lipschitz variation between
    neighbouring sample points (both f and B are Lipschitz, B with constant
    <= L_B bounded by L via the convex-combination property up to grid
    effects; we conservatively use 2L). The result is a sound bound. *)
 let remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a =
-  if samples_per_dim < 2 then invalid_arg "Bernstein.remainder_sampled: need >= 2 samples";
+  let pad = sweep_pad ~lipschitz ~samples_per_dim a in
+  Dwv_util.Counters.incr c_bernstein_sweeps;
   let w = Box.widths a.box in
   let n = Box.dim a.box in
-  let h2 = ref 0.0 in
-  Array.iter (fun wi -> h2 := !h2 +. Dwv_util.Floatx.sq (wi /. float_of_int (samples_per_dim - 1))) w;
-  let pad = lipschitz *. sqrt !h2 in
   let lo = Box.lo a.box in
   (* The sample grid is enumerated by flat index (mixed radix, base
      [samples_per_dim], last dimension fastest — the same point order as
@@ -184,7 +197,7 @@ let remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a =
       x.(i) <- lo.(i) +. (w.(i) *. float_of_int k /. float_of_int (samples_per_dim - 1))
     done
   in
-  let range_max (first, last) =
+  let range_max first last =
     let x = Array.make n 0.0 in
     let worst = ref 0.0 in
     for flat = first to last - 1 do
@@ -198,14 +211,13 @@ let remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a =
     match pool with
     | Some p when total >= 64 ->
       let chunks = min total (Dwv_parallel.Pool.domains p * 4) in
-      let ranges =
-        Array.init chunks (fun c -> (c * total / chunks, (c + 1) * total / chunks))
+      let maxima =
+        Dwv_parallel.Pool.mapi p
+          (fun c () -> range_max (c * total / chunks) ((c + 1) * total / chunks))
+          (Array.make chunks ())
       in
-      let maxima = Dwv_parallel.Pool.map p range_max ranges in
-      let acc = ref 0.0 in
-      Array.iter (fun m -> if m > !acc then acc := m) maxima;
-      !acc
-    | _ -> range_max (0, total)
+      Array.fold_left Float.max 0.0 maxima
+    | _ -> range_max 0 total
   in
   worst +. pad
 
@@ -227,12 +239,21 @@ let remainder_curvature ~hessian_diag a =
     a.degrees;
   !acc
 
-(* Best available sound remainder. *)
+(* Best available sound remainder: the minimum of the Lipschitz,
+   sampled and curvature bounds. The sampled bound is worst + pad with
+   worst >= 0, so it is never below [sweep_pad]; when the curvature bound
+   is already <= pad the sweep cannot lower the minimum and is skipped.
+   That is exact, not an approximation: min (min lip s) curv = min lip
+   curv for every s >= curv, including ties, signed zeros and a NaN
+   Lipschitz bound. (A pad of -inf is excluded: worst = +inf would turn
+   the sampled bound into NaN.) *)
 let remainder ?pool ?hessian_diag ~lipschitz ~f ~samples_per_dim a =
-  let base =
-    Float.min (remainder_lipschitz ~lipschitz a)
-      (remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a)
-  in
+  let pad = sweep_pad ~lipschitz ~samples_per_dim a in
+  let lip = remainder_lipschitz ~lipschitz a in
+  let sampled () = remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a in
   match hessian_diag with
-  | Some h -> Float.min base (remainder_curvature ~hessian_diag:h a)
-  | None -> base
+  | Some h ->
+    let curvature = remainder_curvature ~hessian_diag:h a in
+    if curvature <= pad && pad > Float.neg_infinity then Float.min lip curvature
+    else Float.min (Float.min lip (sampled ())) curvature
+  | None -> Float.min lip (sampled ())

@@ -37,9 +37,11 @@ val to_poly : approx -> Poly.t
 val remainder_lipschitz : lipschitz:float -> approx -> float
 
 (** ReachNN-style sampled remainder: max error on a finer grid plus a
-    Lipschitz variation pad. Sound. [pool] sweeps contiguous index
-    ranges of the sample grid on different domains; the range maxima
-    combine to the same grid maximum for any split. *)
+    Lipschitz variation pad L·|h| (h the grid spacing), so never below
+    that pad. Sound. Each call is one sweep, counted by the
+    [bernstein_sweeps] counter. [pool] sweeps contiguous index ranges of
+    the sample grid on different domains; the range maxima combine to
+    the same grid maximum for any split. *)
 val remainder_sampled :
   ?pool:Dwv_parallel.Pool.t ->
   lipschitz:float -> f:(float array -> float) -> samples_per_dim:int -> approx -> float
@@ -50,7 +52,10 @@ val remainder_sampled :
 val remainder_curvature : hessian_diag:float array -> approx -> float
 
 (** Minimum of the applicable bounds above (still sound); [pool] is
-    forwarded to {!remainder_sampled}. *)
+    forwarded to {!remainder_sampled}. With [hessian_diag], the sweep is
+    skipped when the curvature bound is already <= the sweep's pad: it
+    could not lower the minimum, so the result is bit-identical to the
+    full three-way minimum. *)
 val remainder :
   ?pool:Dwv_parallel.Pool.t ->
   ?hessian_diag:float array ->

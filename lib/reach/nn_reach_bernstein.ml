@@ -18,17 +18,23 @@ type config = {
   samples_per_dim : int;      (* remainder-estimation grid resolution *)
 }
 
-(* A finer grid tightens the remainder (the paper's "tightness" knob for
-   ReachNN) at the price of more network evaluations per iteration; the
-   Lipschitz pad of the sampled remainder scales like L·w·sqrt(n)/(s-1),
-   so higher dimensions need fewer samples per axis for the same total
-   work but more for the same tightness. *)
+(* A finer grid tightens the sampled remainder (the paper's "tightness"
+   knob for ReachNN); its Lipschitz pad scales like L·w·sqrt(n)/(s-1), so
+   higher dimensions need fewer samples per axis for the same total work
+   but more for the same tightness. The grid costs network evaluations
+   only when it can win: the sampled bound is never below its pad, so
+   [Bernstein.remainder] skips the sweep whenever the curvature bound is
+   already <= the pad, which on small reach boxes is almost always. *)
 let default_config ~n =
   if n <= 2 then { degrees = Array.make n 2; samples_per_dim = 48 }
   else { degrees = Array.make n 2; samples_per_dim = 12 }
 
 (* Substitute t_i = (x_i - lo_i) / w_i, as a Taylor model, for each
-   normalized Bernstein variable and evaluate the polynomial. *)
+   normalized Bernstein variable and evaluate the polynomial. Each power
+   t_i^k is built once on first use and shared by every monomial that
+   needs it (on a 3-D plant at degree 2, 27 monomials share 3 squares);
+   [Tm.pow] is pure, so the result is the same as rebuilding it per
+   monomial. *)
 let poly_on_models ~poly ~box (x : Tm_vec.t) =
   let nv = Tm.nvars x.(0) and ord = Tm.order x.(0) in
   let t =
@@ -39,10 +45,18 @@ let poly_on_models ~poly ~box (x : Tm_vec.t) =
         else Tm.scale (1.0 /. w) (Tm.shift (-.I.lo (Box.get box i)) tm))
       x
   in
+  let pows = Array.make_matrix (Array.length t) (Poly.degree poly + 1) None in
+  let var_pow i k =
+    match pows.(i).(k) with
+    | Some p -> p
+    | None ->
+      let p = Tm.pow t.(i) k in
+      pows.(i).(k) <- Some p;
+      p
+  in
   Poly.eval_gen poly
     ~const:(fun c -> Tm.const ~nvars:nv ~order:ord c)
-    ~var_pow:(fun i k -> Tm.pow t.(i) k)
-    ~add:Tm.add ~mul:Tm.mul
+    ~var_pow ~add:Tm.add ~mul:Tm.mul
 
 let c_bernstein_abstractions = Dwv_util.Counters.counter "bernstein_abstractions"
 

@@ -6,7 +6,8 @@ type config = {
   samples_per_dim : int;   (** remainder-estimation grid resolution *)
 }
 
-(** Degree 3 per dimension, 6 remainder samples per dimension. *)
+(** Degree 2 per dimension; 48 remainder samples per dimension up to
+    2-D, 12 above. *)
 val default_config : n:int -> config
 
 (** Compact parameter tag (degrees + samples) for certificate content
@@ -14,7 +15,8 @@ val default_config : n:int -> config
 val config_tag : config -> string
 
 (** Evaluate a polynomial in normalized [0,1]ⁿ grid coordinates on the
-    state models of the given box. *)
+    state models of the given box. Each power of a normalized state
+    model is built once per call and shared across the monomials. *)
 val poly_on_models :
   poly:Dwv_poly.Poly.t -> box:Dwv_interval.Box.t -> Dwv_taylor.Tm_vec.t -> Dwv_taylor.Taylor_model.t
 

@@ -345,7 +345,32 @@ let test_intra_call_bernstein_domains_1_vs_4 () =
   (* samples_per_dim = 10 on a 2-D plant is a 100-point remainder grid,
      over the parallel-tabulation threshold, so the pool path engages *)
   let method_ = Verifier.Bernstein { degrees = [| 2; 2 |]; samples_per_dim = 10 } in
-  check_same_pipe "bernstein intra-call" (osc_pipe_at ~method_ 1) (osc_pipe_at ~method_ 4)
+  check_same_pipe "bernstein intra-call" (osc_pipe_at ~method_ 1) (osc_pipe_at ~method_ 4);
+  (* the curvature bound usually makes the sweep redundant, so the pooled
+     sweep is pinned directly: on a small box the curvature bound wins and
+     no sweep runs, on a wide one the 48 x 48 sweep runs on the pool *)
+  let net = Mlp.create ~sizes:[ 2; 8; 1 ] ~acts:[ Activation.Tanh; Activation.Tanh ] (Rng.create 3) in
+  let f p = 4.0 *. (Mlp.forward net p).(0) in
+  let hessian_diag = Option.get (Dwv_nn.Lipschitz.hessian_diag_bound net) in
+  let remainder_at box domains =
+    let lipschitz = Dwv_nn.Lipschitz.local_bound net box in
+    Pool.with_pool ~oversubscribe:true ~domains (fun pool ->
+        let a = Dwv_poly.Bernstein.approximate ~pool ~f ~degrees:[| 2; 2 |] box in
+        let sweeps0 = Dwv_util.Counters.get "bernstein_sweeps" in
+        let r =
+          Dwv_poly.Bernstein.remainder ~pool ~hessian_diag ~lipschitz ~f ~samples_per_dim:48 a
+        in
+        (Int64.bits_of_float r, Dwv_util.Counters.get "bernstein_sweeps" - sweeps0))
+  in
+  List.iter
+    (fun (label, box, sweeps) ->
+      let r1, s1 = remainder_at box 1 and r4, s4 = remainder_at box 4 in
+      Alcotest.(check int64) (label ^ ": remainder bits, domains 1 = 4") r1 r4;
+      Alcotest.(check (pair int int)) (label ^ ": sweeps run") (sweeps, sweeps) (s1, s4))
+    [
+      ("sweep skipped", Box.make ~lo:[| -0.51; 0.49 |] ~hi:[| -0.49; 0.51 |], 0);
+      ("sweep runs", Box.make ~lo:[| -1.5; -1.5 |] ~hi:[| 1.5; 1.5 |], 1);
+    ]
 
 let test_lie_table_published_once () =
   (* the registry is publish-once and process-global: after the first

@@ -295,6 +295,137 @@ let test_mul_trunc_edges () =
   let big () = random_poly st ~nvars:11 ~max_degree:4 in
   agree "above the slot limit" ~order:4 (big ()) (big ())
 
+(* ---------- Bernstein remainder: the skipped sweep vs the full formula ---------- *)
+
+(* The sampled bound's Lipschitz pad, summed as [remainder_sampled]
+   always summed it. *)
+let pad_oracle ~lipschitz ~samples_per_dim (a : Bernstein.approx) =
+  let h2 = ref 0.0 in
+  Array.iter
+    (fun wi -> h2 := !h2 +. Dwv_util.Floatx.sq (wi /. float_of_int (samples_per_dim - 1)))
+    (Box.widths a.Bernstein.box);
+  lipschitz *. sqrt !h2
+
+(* [Bernstein.remainder] as written before the sweep skip: the sampled
+   bound always computed (sequential sweep), then the three-way minimum.
+   Returns the pad too. *)
+let remainder_oracle ?hessian_diag ~lipschitz ~f ~samples_per_dim (a : Bernstein.approx) =
+  if samples_per_dim < 2 then invalid_arg "oracle: need >= 2 samples";
+  let w = Box.widths a.Bernstein.box and lo = Box.lo a.Bernstein.box in
+  let n = Box.dim a.Bernstein.box in
+  let pad = pad_oracle ~lipschitz ~samples_per_dim a in
+  let worst = ref 0.0 in
+  let x = Array.make n 0.0 in
+  let rec sweep i =
+    if i = n then begin
+      let err = Float.abs (f x -. Bernstein.eval a x) in
+      if err > !worst then worst := err
+    end
+    else
+      for k = 0 to samples_per_dim - 1 do
+        x.(i) <- lo.(i) +. (w.(i) *. float_of_int k /. float_of_int (samples_per_dim - 1));
+        sweep (i + 1)
+      done
+  in
+  sweep 0;
+  let base = Float.min (Bernstein.remainder_lipschitz ~lipschitz a) (!worst +. pad) in
+  match hessian_diag with
+  | Some h -> (Float.min base (Bernstein.remainder_curvature ~hessian_diag:h a), pad)
+  | None -> (base, pad)
+
+(* One seeded case: 1-3 dimensions (an axis is zero-width one time in
+   four), degrees 1-4, 2-48 samples per axis (2-12 in 3-D), a Lipschitz
+   constant that is ordinary, zero, huge, infinite or NaN, and no Hessian
+   bound, one small enough that the sweep is skipped, one large enough
+   that it runs, or one whose curvature bound lies within a factor of 2
+   of the sweep's pad on either side. *)
+let remainder_case seed =
+  let st = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int st 3 in
+  let degrees = Array.init n (fun _ -> 1 + Random.State.int st 4) in
+  let lo = Array.init n (fun _ -> Random.State.float st 4.0 -. 2.0) in
+  let hi =
+    Array.map (fun l -> if Random.State.int st 4 = 0 then l else l +. Random.State.float st 1.5) lo
+  in
+  let samples_per_dim = 2 + Random.State.int st (if n = 3 then 11 else 47) in
+  let k = Array.init n (fun _ -> Random.State.float st 3.0 -. 1.5) in
+  let f x =
+    let acc = ref (tanh (k.(0) *. x.(0) *. x.(n - 1))) in
+    Array.iteri (fun i xi -> acc := !acc +. sin (k.(i) *. xi)) x;
+    !acc
+  in
+  let lipschitz =
+    match Random.State.int st 8 with
+    | 0 -> 0.0
+    | 1 -> Float.nan
+    | 2 -> Float.infinity
+    | 3 -> 1e6
+    | _ -> Random.State.float st 5.0
+  in
+  let a = Bernstein.approximate ~f ~degrees (Box.make ~lo ~hi) in
+  let hessian_diag =
+    match Random.State.int st 4 with
+    | 0 -> None
+    | 1 -> Some (Array.init n (fun _ -> Random.State.float st 1e-4))
+    | 2 -> Some (Array.init n (fun _ -> 1e3 +. Random.State.float st 1e3))
+    | _ ->
+      let unit = Bernstein.remainder_curvature ~hessian_diag:(Array.make n 1.0) a in
+      let pad = pad_oracle ~lipschitz ~samples_per_dim a in
+      let scale = if unit > 0.0 then pad /. unit else 1.0 in
+      Some (Array.make n (scale *. (0.5 +. Random.State.float st 1.5)))
+  in
+  (a, f, lipschitz, hessian_diag, samples_per_dim)
+
+(* f calls and the sweep counter for one [Bernstein.remainder] call. *)
+let counted_remainder ?pool ?hessian_diag ~lipschitz ~f ~samples_per_dim a =
+  let calls = Atomic.make 0 in
+  let f x = Atomic.incr calls; f x in
+  let sweeps0 = Dwv_util.Counters.get "bernstein_sweeps" in
+  let r = Bernstein.remainder ?pool ?hessian_diag ~lipschitz ~f ~samples_per_dim a in
+  (r, Atomic.get calls, Dwv_util.Counters.get "bernstein_sweeps" - sweeps0)
+
+let prop_remainder_bit_identical =
+  QCheck.Test.make ~name:"bernstein remainder bit-identical to the full formula" ~count:400
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let a, f, lipschitz, hessian_diag, samples_per_dim = remainder_case seed in
+      let r, calls, sweeps = counted_remainder ?hessian_diag ~lipschitz ~f ~samples_per_dim a in
+      let expected, pad = remainder_oracle ?hessian_diag ~lipschitz ~f ~samples_per_dim a in
+      let sweep_expected =
+        match hessian_diag with
+        | Some h -> not (Bernstein.remainder_curvature ~hessian_diag:h a <= pad)
+        | None -> true
+      in
+      let grid = int_of_float (float_of_int samples_per_dim ** float_of_int (Box.dim a.Bernstein.box)) in
+      same_bits r expected
+      && calls = (if sweep_expected then grid else 0)
+      && sweeps = (if sweep_expected then 1 else 0))
+
+(* Both sides of the skip rule, its tie at pad = curvature = 0, and the
+   sample-count guard on both paths. *)
+let test_remainder_skip_boundary () =
+  let f x = sin (2.0 *. x.(0)) +. (x.(1) *. x.(1)) in
+  let a = Bernstein.approximate ~f ~degrees:[| 2; 3 |] (Box.make ~lo:[| 0.0; -1.0 |] ~hi:[| 0.5; 0.0 |]) in
+  let check label ~hessian_diag ~lipschitz ~expect_calls a =
+    let r, calls, sweeps = counted_remainder ~hessian_diag ~lipschitz ~f ~samples_per_dim:12 a in
+    let expected, _ = remainder_oracle ~hessian_diag ~lipschitz ~f ~samples_per_dim:12 a in
+    Alcotest.(check bool) (label ^ ": bit-identical") true (same_bits r expected);
+    Alcotest.(check int) (label ^ ": f calls") expect_calls calls;
+    Alcotest.(check int) (label ^ ": sweeps counted") (if expect_calls > 0 then 1 else 0) sweeps
+  in
+  check "small hessian: skipped" ~hessian_diag:[| 1e-3; 1e-3 |] ~lipschitz:2.0 ~expect_calls:0 a;
+  check "large hessian: sweeps" ~hessian_diag:[| 1e3; 1e3 |] ~lipschitz:2.0 ~expect_calls:144 a;
+  check "nan lipschitz: sweeps" ~hessian_diag:[| 1e-3; 1e-3 |] ~lipschitz:Float.nan
+    ~expect_calls:144 a;
+  let point = Bernstein.approximate ~f ~degrees:[| 2; 2 |] (Box.make ~lo:[| 0.5; 0.5 |] ~hi:[| 0.5; 0.5 |]) in
+  check "zero-width tie: skipped" ~hessian_diag:[| 0.0; 0.0 |] ~lipschitz:0.0 ~expect_calls:0 point;
+  List.iter
+    (fun hessian_diag ->
+      Alcotest.check_raises "samples_per_dim = 1"
+        (Invalid_argument "Bernstein.remainder_sampled: need >= 2 samples") (fun () ->
+          ignore (Bernstein.remainder ?hessian_diag ~lipschitz:2.0 ~f ~samples_per_dim:1 a)))
+    [ None; Some [| 1e-3; 1e-3 |]; Some [| 1e3; 1e3 |] ]
+
 let suite =
   [
     Alcotest.test_case "eval" `Quick test_eval;
@@ -323,4 +454,6 @@ let suite =
     Alcotest.test_case "bernstein remainder sound" `Quick test_bernstein_remainder_sound_1d;
     Alcotest.test_case "bernstein remainder tightens" `Quick
       test_bernstein_remainder_decreases_with_samples;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |]) prop_remainder_bit_identical;
+    Alcotest.test_case "bernstein remainder skip boundary" `Quick test_remainder_skip_boundary;
   ]

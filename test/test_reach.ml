@@ -214,6 +214,91 @@ let test_bernstein_models_sound () =
       Nn_reach_bernstein.control_models ~net ~output_scale:2.0
         ~config:(Nn_reach_bernstein.default_config ~n:2) x)
 
+(* [Nn_reach_bernstein.poly_on_models] as written before the powers were
+   shared: every monomial rebuilds each t_i^k it needs. *)
+let poly_on_models_oracle ~poly ~box (x : Tm_vec.t) =
+  let nv = Tm.nvars x.(0) and ord = Tm.order x.(0) in
+  let t =
+    Array.mapi
+      (fun i tm ->
+        let w = I.width (Box.get box i) in
+        if w < 1e-12 then Tm.const ~nvars:nv ~order:ord 0.0
+        else Tm.scale (1.0 /. w) (Tm.shift (-.I.lo (Box.get box i)) tm))
+      x
+  in
+  Dwv_poly.Poly.eval_gen poly
+    ~const:(fun c -> Tm.const ~nvars:nv ~order:ord c)
+    ~var_pow:(fun i k -> Tm.pow t.(i) k)
+    ~add:Tm.add ~mul:Tm.mul
+
+(* [control_models] assembled around the oracle above. *)
+let control_models_oracle ~net ~output_scale ~(config : Nn_reach_bernstein.config) x =
+  let x_box = Tm_vec.bound_box x in
+  let lipschitz = Float.succ (Float.abs output_scale *. Dwv_nn.Lipschitz.local_bound net x_box) in
+  let hessian_diag =
+    Option.map
+      (Array.map (fun m -> Float.succ (Float.abs output_scale *. m)))
+      (Dwv_nn.Lipschitz.hessian_diag_bound net)
+  in
+  Array.init (Mlp.n_out net) (fun k ->
+      let f point = output_scale *. (Mlp.forward net point).(k) in
+      let approx =
+        Dwv_poly.Bernstein.approximate ~f ~degrees:config.Nn_reach_bernstein.degrees x_box
+      in
+      let tm = poly_on_models_oracle ~poly:(Dwv_poly.Bernstein.to_poly approx) ~box:x_box x in
+      let rem =
+        Dwv_poly.Bernstein.remainder ?hessian_diag ~lipschitz ~f
+          ~samples_per_dim:config.Nn_reach_bernstein.samples_per_dim approx
+      in
+      Tm.add_remainder (I.make (-.rem) rem) tm)
+
+(* A state model shaped like one inside an order-3 flowpipe: the box
+   variables plus symbolic-remainder slots, with cross terms, slot terms
+   and an interval remainder. *)
+let flowpipe_like_state ~total_vars box =
+  let n = Box.dim box in
+  let x = Tm_vec.of_box ~total_vars ~order:3 box in
+  Array.mapi
+    (fun i xi ->
+      let next = x.((i + 1) mod n) in
+      let slot = Tm.var ~nvars:total_vars ~order:3 (n + i) in
+      Tm.add_remainder (I.make (-1e-4) 1e-4)
+        (Tm.add xi
+           (Tm.add (Tm.scale 0.05 (Tm.mul xi next)) (Tm.scale 0.01 (Tm.mul slot (Tm.pow next 2))))))
+    x
+
+let same_tm a b =
+  Tm.order a = Tm.order b
+  && Test_poly.same_terms (Tm.poly a) (Tm.poly b)
+  && Test_poly.same_interval (Tm.remainder a) (Tm.remainder b)
+
+let test_bernstein_shared_powers_bit_identical () =
+  List.iter
+    (fun (label, sizes, output_scale, box, total_vars) ->
+      let net = Mlp.create ~sizes ~acts:[ Activation.Tanh; Activation.Tanh ] (Rng.create 11) in
+      let config = Nn_reach_bernstein.default_config ~n:(Box.dim box) in
+      let x = flowpipe_like_state ~total_vars box in
+      Alcotest.(check int) (label ^ ": variables") total_vars (Tm.nvars x.(0));
+      let u = Nn_reach_bernstein.control_models ~net ~output_scale ~config x in
+      let u' = control_models_oracle ~net ~output_scale ~config x in
+      Alcotest.(check bool) (label ^ ": control models bit-identical") true
+        (Array.for_all2 same_tm u u');
+      let x_box = Tm_vec.bound_box x in
+      let f p = output_scale *. (Mlp.forward net p).(0) in
+      let poly =
+        Dwv_poly.Bernstein.to_poly
+          (Dwv_poly.Bernstein.approximate ~f ~degrees:config.Nn_reach_bernstein.degrees x_box)
+      in
+      Alcotest.(check bool) (label ^ ": poly_on_models bit-identical") true
+        (same_tm
+           (Nn_reach_bernstein.poly_on_models ~poly ~box:x_box x)
+           (poly_on_models_oracle ~poly ~box:x_box x)))
+    [
+      ("oscillator", [ 2; 8; 1 ], 4.0, box2 (-0.51) (-0.49) 0.49 0.51, 8);
+      ( "3-D", [ 3; 8; 1 ], 2.0,
+        Box.make ~lo:[| 0.35; -0.35; 0.35 |] ~hi:[| 0.45; -0.25; 0.45 |], 9 );
+    ]
+
 let test_polar_models_relu_sound () =
   let net = Mlp.create ~sizes:[ 2; 4; 1 ] ~acts:[ Activation.Relu; Activation.Tanh ] (Rng.create 8) in
   let x0 = box2 (-0.2) 0.2 (-0.2) 0.2 in
@@ -409,6 +494,8 @@ let suite =
     Alcotest.test_case "taylor step nonlinear" `Quick test_taylor_step_nonlinear_sound;
     Alcotest.test_case "polar models sound" `Quick test_polar_models_sound;
     Alcotest.test_case "bernstein models sound" `Quick test_bernstein_models_sound;
+    Alcotest.test_case "bernstein shared powers bit-identical" `Quick
+      test_bernstein_shared_powers_bit_identical;
     Alcotest.test_case "polar relu models sound" `Quick test_polar_models_relu_sound;
     QCheck_alcotest.to_alcotest prop_linear_flowpipe_sound_fuzz;
     QCheck_alcotest.to_alcotest prop_taylor_step_sound_fuzz;
